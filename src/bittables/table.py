@@ -9,8 +9,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .errors import ContradictionError
 
@@ -227,6 +225,10 @@ def binary_feasible(r_res, c_res, forced_zero=None) -> bool:
     Reduces to bipartite maximum flow: rows supply r_res, columns demand
     c_res, each open cell carries capacity one.
     """
+    # scipy loads on first use, so importing the package does not pay for it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
     r_res = np.asarray(r_res, dtype=np.int64)
     c_res = np.asarray(c_res, dtype=np.int64)
     if r_res.min(initial=0) < 0 or c_res.min(initial=0) < 0:

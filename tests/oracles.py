@@ -116,6 +116,24 @@ def iter_partitions(n, distinct=False):
     yield from rec(n, n)
 
 
+def partition_counts_dp(n):
+    """p(0..n) by adding one part size at a time (coin-change DP), O(n^2)."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for s in range(part, n + 1):
+            p[s] += p[s - part]
+    return p
+
+
+def distinct_partition_counts_dp(n):
+    """Distinct-part counts of 0..n by the 0/1 subset-sum DP, O(n^2)."""
+    q = [1] + [0] * n
+    for part in range(1, n + 1):
+        for s in range(n, part - 1, -1):
+            q[s] += q[s - part]
+    return q
+
+
 def poisson_binomial_convolve(ps, k):
     """P(sum of Bernoulli(ps) = k) by direct sequential convolution."""
     probs = np.zeros(len(ps) + 1)

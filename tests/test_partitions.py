@@ -1,4 +1,9 @@
+import json
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +48,80 @@ def test_counts_match_enumeration():
 
 def test_count_known_large_value():
     assert partition_counts(100)[100] == 190569292
+
+
+def test_euler_distinct_counts_match_subset_sum_dp():
+    assert distinct_partition_counts(400) == oracles.distinct_partition_counts_dp(400)
+    assert partition_counts(400) == oracles.partition_counts_dp(400)
+
+
+def _fresh_process(script, timeout=60):
+    """Stdout of `script` run in a new interpreter, whose count tables start empty."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_tables_grown_in_steps_match_one_shot_build():
+    out = _fresh_process("""
+        import json
+        from bittables.partitions import distinct_partition_counts, partition_counts
+        print(json.dumps([[str(v) for v in f(m)] for m in (10, 500, 300)
+                          for f in (partition_counts, distinct_partition_counts)]))
+    """)
+    got = [[int(v) for v in table] for table in json.loads(out)]
+    p, q = oracles.partition_counts_dp(500), oracles.distinct_partition_counts_dp(500)
+    assert got == [p[:11], q[:11], p, q, p[:301], q[:301]]
+
+
+def test_mutating_a_returned_table_changes_nothing():
+    # the draws grow both tables to exactly 350 entries, the size then asked for
+    out = _fresh_process("""
+        import json
+        from bittables.partitions import (distinct_partition_counts, partition_counts,
+                                          sample_distinct_partition, sample_partition)
+        def draws():
+            return [sample_partition(701, seed=4).pairs,
+                    sample_distinct_partition(701, seed=4).pairs]
+        before = draws()
+        for table in (partition_counts(350), distinct_partition_counts(350)):
+            table[:] = [0] * len(table)
+        print(json.dumps([before == draws(),
+                          [str(v) for v in partition_counts(500)],
+                          [str(v) for v in distinct_partition_counts(500)]]))
+    """)
+    same, p, q = json.loads(out)
+    assert same
+    assert [int(v) for v in p] == oracles.partition_counts_dp(500)
+    assert [int(v) for v in q] == oracles.distinct_partition_counts_dp(500)
+
+
+def test_unrestricted_draws_match_golden():
+    """Fixed-seed draws recorded before the count tables were cached; the
+    cached tables and their logs must reproduce them exactly."""
+    golden = json.loads((Path(__file__).parent / "data" / "partition_golden.json").read_text())
+    for case in golden:
+        got = sample_partition(case["n"], seed=case["seed"]).pairs
+        assert [list(pk) for pk in got] == case["pairs"], (case["n"], case["seed"])
+
+
+def test_hopeless_tilt_raises_within_a_second():
+    # tilt=1e-9 proposes all-zero bits, so the odd target 3 is never met;
+    # a child process turns a hang into a failed test
+    out = _fresh_process("""
+        import time
+        from bittables import BitTablesError, sample_distinct_partition, sample_partition
+        for sampler in (sample_partition, sample_distinct_partition):
+            t0 = time.perf_counter()
+            try:
+                sampler(3, tilt=1e-9)
+            except BitTablesError as e:
+                print(type(e).__name__, time.perf_counter() - t0)
+    """, timeout=30)
+    lines = out.split("\n")[:2]
+    assert [line.split()[0] for line in lines] == ["DeadStateError"] * 2, out
+    assert all(float(line.split()[1]) < 1.0 for line in lines), out
 
 
 def test_enumerate_partitions_exact_sets():

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -159,3 +162,12 @@ def test_csv_round_trip():
     s = entries_to_csv(a)
     assert s == "1,0,5\n2,3,0\n"
     assert np.array_equal(entries_from_csv(s), a)
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bittables; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
