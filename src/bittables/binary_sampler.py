@@ -204,7 +204,8 @@ def sample_binary_table(
                         continue
                     bit, fr = _entry_decision(i, j, t, strategy, p_static, oracle, rng, diag)
                     t = fr.table
-            assert t.is_complete() and not (t.r_res.any() or t.c_res.any())
+            if not t.is_complete() or t.r_res.any() or t.c_res.any():
+                raise ContradictionError("scan ended with open cells or residual margins")
             return t.entries.copy(), diag
         except DeadStateError as e:
             diag.dead_states += 1

@@ -5,7 +5,11 @@ every open cell receives its low bit in scan order, zero-residual lines close
 immediately, and at level end all residual margins are even and halve for the
 next level.  Bit decisions come either from exact completion counts or from a
 factorized approximation of the conditional cell laws; the approximate route
-restarts on dead states.
+restarts on dead states.  Within a level the column parameters are fixed, so
+the approximate route memoises its line laws per level on the level's
+`ColumnParamScheme`: each column factor as one float, each conditioned cell
+law as its mass vector.  A level that ends with an odd residual, which the
+factorized weights cannot see coming, is a dead state too.
 """
 
 from __future__ import annotations
@@ -16,15 +20,8 @@ import numpy as np
 
 from .counting import CountOracle, shared_oracle
 from .diagnostics import SamplerDiagnostics
-from .errors import ContradictionError, DeadStateError, InfeasibleError
-from .pmf import (
-    ColumnParamScheme,
-    column_parameters,
-    conditioned_cell_pmf,
-    convolve_truncated,
-    mixed_column_sum_pmf,
-)
-from .errors import ConditioningError
+from .errors import ConditioningError, ContradictionError, DeadStateError, InfeasibleError
+from .pmf import ColumnParamScheme, column_parameters, conditioned_cell_pmf, mixed_column_sum_pmf
 from .table import MaskedTable, deterministic_fill
 
 __all__ = [
@@ -80,6 +77,34 @@ def exact_bit_distribution(i, j, t: MaskedTable, forced_even=None, oracle=None) 
     return a0 / (a0 + a1)
 
 
+# The line laws depend on their column only through its parameter, so the
+# per-level memos are keyed by the value of q: columns sharing q share laws.
+
+
+def _column_factor(scheme: ColumnParamScheme, q, n_even: int, n_plain: int, c: int) -> float:
+    key = (float(q), n_even, n_plain, c)
+    factor = scheme.column_factors.get(key)
+    if factor is None:
+        factor = mixed_column_sum_pmf(q, n_even, n_plain, c).prob(c)
+        scheme.column_factors[key] = factor
+    return factor
+
+
+def _cell_law(scheme: ColumnParamScheme, q, cell_even: bool, rest_even: int, rest_plain: int,
+              c: int) -> np.ndarray | None:
+    """Mass vector of the conditioned cell law, None where its column sum is unreachable."""
+    key = (float(q), cell_even, rest_even, rest_plain, c)
+    if key in scheme.cell_laws:
+        return scheme.cell_laws[key]
+    try:
+        masses = conditioned_cell_pmf(cell_even, q, rest_even, rest_plain, c).masses
+        masses.flags.writeable = False
+    except ConditioningError:
+        masses = None
+    scheme.cell_laws[key] = masses
+    return masses
+
+
 def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -> float:
     """Factorized weight for assigning bit k to cell (i, j).
 
@@ -90,7 +115,7 @@ def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -
     even/plain column law times the probability of its row residual under a
     convolution of per-cell laws, each conditioned on its own column sum.
     The candidate bit is folded into both residuals up front.  Returns 0.0
-    for unreachable residuals.
+    for unreachable residuals.  The line laws are memoised on `scheme`.
     """
     if scheme.kind != "integer":
         raise ValueError("approx_bit_weight needs an integer parameter scheme")
@@ -99,31 +124,31 @@ def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -
     c_j = int(t.c_res[j]) - k
     if r_i < 0 or c_j < 0:
         return 0.0
-    col_rows = t.open_rows_in_col(j)
-    n_even = int(np.count_nonzero(col_rows <= i))
-    col_factor = mixed_column_sum_pmf(q[j], n_even, col_rows.size - n_even, c_j).prob(c_j)
+    open_cells = ~t.mask
+    col_open = np.count_nonzero(open_cells, axis=0).tolist()
+    above = int(np.count_nonzero(open_cells[:i, j]))  # open cells of column j above row i
+    n_even = above + int(open_cells[i, j])
+    col_factor = _column_factor(scheme, q[j], n_even, col_open[j] - n_even, c_j)
     if col_factor <= 0.0:
         return 0.0
     conv = None
-    for l in t.open_cols_in_row(i):
-        rows_l = t.open_rows_in_col(l)
+    for l in np.flatnonzero(open_cells[i]).tolist():
         if l < j:
-            cell_even, rest_even = True, rows_l.size - 1
+            cell_even, rest_even = True, col_open[l] - 1
         elif l == j:
-            cell_even = True
-            rest_even = int(np.count_nonzero(rows_l < i))
+            cell_even, rest_even = True, above
         else:
             cell_even, rest_even = False, 0
-        rest_plain = rows_l.size - 1 - rest_even
+        rest_plain = col_open[l] - 1 - rest_even
         c_l = c_j if l == j else int(t.c_res[l])
-        try:
-            cell = conditioned_cell_pmf(cell_even, q[l], rest_even, rest_plain, c_l)
-        except ConditioningError:
+        cell = _cell_law(scheme, q[l], cell_even, rest_even, rest_plain, c_l)
+        if cell is None:
             return 0.0
-        conv = cell if conv is None else convolve_truncated(conv, cell, r_i)
+        # row law truncated to {0..r_i} after every convolution
+        conv = cell if conv is None else np.convolve(conv, cell)[: r_i + 1]
     if conv is None:
         return col_factor if r_i == 0 else 0.0
-    return col_factor * conv.prob(r_i)
+    return col_factor * float(conv[r_i]) if r_i < conv.size else 0.0
 
 
 class _LevelState:
@@ -267,11 +292,15 @@ def _run_levels(pre, levels, strategy, oracle, rng, diag) -> np.ndarray:
                 if bit:
                     assembled[i, j] += 1 << b
         perm, r, c = st.perm, st.r, st.c
-        assert bool((st.pending | perm).all()), "level scan left an undecided cell"
-        assert not (np.any(r & 1) or np.any(c & 1)), "level left an odd residual"
+        if not bool((st.pending | perm).all()):
+            raise ContradictionError(f"level {b} scan left an undecided cell")
+        if np.any(r & 1) or np.any(c & 1):
+            # a line stranded off the scored row and column: restart
+            raise DeadStateError(f"level {b} left an odd residual")
         r >>= 1
         c >>= 1
-    assert not (np.any(r) or np.any(c)), "margins not exhausted after final level"
+    if np.any(r) or np.any(c):
+        raise ContradictionError("margins not exhausted after final level")
     return assembled
 
 

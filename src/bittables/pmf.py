@@ -8,7 +8,7 @@ them) are materialised as truncated mass vectors; the `truncated` flag on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,12 +87,20 @@ class ColumnParamScheme:
     For integer cells each column j carries a geometric parameter q[j]; for
     binary cells a Bernoulli success probability p[j].  h[j] counts the
     closed cells of column j used when the parameters were derived.
+
+    `column_factors` and `cell_laws` memoise the integer line laws under
+    these parameters (see `integer_sampler.approx_bit_weight`).  A sampler
+    builds one scheme per bit level, so the memo lives exactly one level;
+    its keys are bounded by the distinct parameters, the open cells per
+    column and the residuals, and it needs no size limit.
     """
 
     kind: str  # "integer" or "binary"
     h: np.ndarray
     q: np.ndarray | None = None
     p: np.ndarray | None = None
+    column_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    cell_laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("integer", "binary"):
@@ -245,6 +253,15 @@ def convolve_truncated(a: DiscretePMF, b: DiscretePMF, cap: int) -> DiscretePMF:
     )
 
 
+def _window(pmf: DiscretePMF, cap: int) -> np.ndarray:
+    """Masses of `pmf` at 0..cap, zero outside its support (`prob` as a vector)."""
+    out = np.zeros(cap + 1)
+    lo, hi = max(pmf.offset, 0), min(pmf.support_max, cap)
+    if lo <= hi:
+        out[lo : hi + 1] = pmf.masses[lo - pmf.offset : hi - pmf.offset + 1]
+    return out
+
+
 def _even_cell_base(q: float, cap: int) -> DiscretePMF:
     """Law of twice a geometric(q**2) variable, truncated to {0..cap}."""
     return _stretch_even(negative_binomial_dist(1, q * q, cap // 2), cap)
@@ -273,7 +290,8 @@ def conditioned_cell_pmf(
             f"column sum {c_res} unreachable for q={q}, "
             f"{rest_even + even_cell} even / {rest_plain + (not even_cell)} plain cells"
         )
-    masses = np.array([base.prob(x) * rest.prob(c_res - x) for x in range(c_res + 1)])
+    # the same multiply per x, then the same divide, as a loop over x would do
+    masses = _window(base, c_res) * _window(rest, c_res)[::-1]
     return DiscretePMF(offset=0, masses=masses / denom, truncated=False)
 
 

@@ -149,3 +149,26 @@ def nb_pmf(m, q, k):
     if m == 0:
         return 1.0 if k == 0 else 0.0
     return comb(m + k - 1, k) * (1.0 - q) ** m * q**k
+
+
+def conditioned_cell_masses_loop(even_cell, q, rest_even, rest_plain, c_res):
+    """`conditioned_cell_pmf` masses as the package first computed them: one
+    Python multiply per x, then one vector divide.  Unlike the oracles above
+    it reuses the package's own base and column laws, because it pins the
+    float arithmetic of the vectorised product, not the model; the laws
+    themselves are checked against closed forms in test_pmf."""
+    from bittables.errors import ConditioningError
+    from bittables.pmf import _even_cell_base, geometric_dist, mixed_column_sum_pmf
+
+    if c_res < 0:
+        raise ConditioningError(f"column residual {c_res} is negative")
+    base = _even_cell_base(q, c_res) if even_cell else geometric_dist(q, c_res)
+    rest = mixed_column_sum_pmf(q, rest_even, rest_plain, c_res)
+    total = mixed_column_sum_pmf(
+        q, rest_even + (1 if even_cell else 0), rest_plain + (0 if even_cell else 1), c_res
+    )
+    denom = total.prob(c_res)
+    if denom <= 0.0:
+        raise ConditioningError(f"column sum {c_res} unreachable")
+    masses = np.array([base.prob(x) * rest.prob(c_res - x) for x in range(c_res + 1)])
+    return masses / denom

@@ -1,8 +1,18 @@
+import ast
+import json
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bittables
+from bittables import integer_sampler
+from bittables.binary_sampler import sample_binary_table
+from bittables.cli import main
 from bittables.errors import InfeasibleError
 from bittables.integer_sampler import (
     BitSamplerStrategy,
@@ -141,3 +151,105 @@ def test_fully_masked_zero_instance():
 def test_strategy_validation():
     with pytest.raises(ValueError):
         BitSamplerStrategy(kind="magic")
+
+
+def _zero_mask(m, n, cells):
+    if not cells:
+        return None
+    zero = np.zeros((m, n), dtype=bool)
+    for i, j in cells:
+        zero[i, j] = True
+    return zero
+
+
+def test_approx_draws_match_golden():
+    """Fixed-seed approx draws recorded before the line laws were memoised
+    and the cell law vectorised; both must reproduce them exactly."""
+    golden = json.loads((Path(__file__).parent / "data" / "integer_golden.json").read_text())
+    for case in golden:
+        kw = {k: case[k] for k in ("scan", "retain_bit_levels") if k in case}
+        zero = _zero_mask(len(case["rows"]), len(case["cols"]), case["zero"])
+        e, diag = sample_contingency_table(
+            case["rows"], case["cols"], zero, rng=batch_rng(*case["seed"]), **kw
+        )
+        assert e.tolist() == case["entries"], (case["name"], case["seed"])
+        assert diag.as_dict() == case["diagnostics"], (case["name"], case["seed"])
+
+
+def test_line_laws_are_memoised_on_the_scheme(monkeypatch):
+    calls = Counter()
+    for name in ("conditioned_cell_pmf", "mixed_column_sum_pmf"):
+        fn = getattr(integer_sampler, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(integer_sampler, name, counted)
+    t = MaskedTable.from_margins([10, 56, 13], [20, 14, 18, 27])
+    scheme = column_parameters(t.c_res, [0] * 4, 3, "integer")
+    first = [approx_bit_weight(0, 0, k, t, scheme) for k in (0, 1)]
+    # the two candidates share the laws of columns 1..3; only column 0's
+    # residual differs between them
+    misses = dict(calls)
+    assert misses == {"mixed_column_sum_pmf": 2, "conditioned_cell_pmf": 5}
+    assert len(scheme.column_factors) == 2 and len(scheme.cell_laws) == 5
+    again = [approx_bit_weight(0, 0, k, t, scheme) for k in (0, 1)]
+    assert again == first and dict(calls) == misses
+    # a fresh scheme with the same parameters starts empty and agrees
+    fresh = column_parameters(t.c_res, [0] * 4, 3, "integer")
+    assert not fresh.cell_laws
+    assert [approx_bit_weight(0, 0, k, t, fresh) for k in (0, 1)] == first
+
+
+def test_odd_residual_restarts_instead_of_failing(capsys):
+    # this stream strands rows 3 and 4 with odd residuals in level 3; the
+    # level end is a dead state and the draw restarts
+    r = c = [30] * 6
+    e, diag = sample_contingency_table(r, c, rng=batch_rng(7, 2))
+    assert validate_table(e, r, c)
+    assert diag.dead_states == 1 and diag.restarts == 1
+    margins = ",".join(["30"] * 6)
+    code = main(["sample-ct", "--rows", margins, "--cols", margins, "--seed", "7",
+                 "--samples", "3", "--validate"])
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert code == 0 and len(lines) == 3
+    assert all(json.loads(line)["valid"] for line in lines)
+
+
+def test_package_has_no_assert_statements():
+    # invariants are typed errors, so `python -O` cannot strip them
+    src = Path(bittables.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, (path.name, asserts)
+
+
+_OPTIMIZE_DRAWS = """
+    import json
+    import numpy as np
+    from bittables import batch_rng, sample_binary_table, sample_contingency_table
+    zero = np.eye(5, dtype=bool)
+    ct, ct_diag = sample_contingency_table([30] * 6, [30] * 6, rng=batch_rng(7, 2))
+    bt, bt_diag = sample_binary_table([2] * 5, [2] * 5, zero, rng=batch_rng(4, 1))
+    print(json.dumps([ct.tolist(), ct_diag.as_dict(), bt.tolist(), bt_diag.as_dict()]))
+"""
+
+
+def test_invariants_hold_under_python_optimize():
+    """The draws made under `python -O` equal those made with asserts on."""
+    outs = []
+    for flags in (["-O"], []):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", textwrap.dedent(_OPTIMIZE_DRAWS)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == outs[1]
+    zero = np.eye(5, dtype=bool)
+    ct, ct_diag = sample_contingency_table([30] * 6, [30] * 6, rng=batch_rng(7, 2))
+    bt, bt_diag = sample_binary_table([2] * 5, [2] * 5, zero, rng=batch_rng(4, 1))
+    assert outs[0] == [ct.tolist(), ct_diag.as_dict(), bt.tolist(), bt_diag.as_dict()]
+    assert ct_diag.dead_states == 1 and validate_table(bt, [2] * 5, [2] * 5, zero)

@@ -18,7 +18,7 @@ from bittables.pmf import (
     poisson_binomial_point,
 )
 
-from oracles import nb_pmf, poisson_binomial_convolve
+from oracles import conditioned_cell_masses_loop, nb_pmf, poisson_binomial_convolve
 
 
 def test_geometric_pmf_closed_form():
@@ -120,6 +120,29 @@ def test_conditioned_cell_pmf_bayes():
         conditioned_cell_pmf(True, 0.4, 0, 0, 3)  # odd sum from even cells only
     with pytest.raises(ConditioningError):
         conditioned_cell_pmf(False, 0.4, 0, 0, -1)
+
+
+def test_conditioned_cell_pmf_bit_identical_to_loop():
+    # the vectorised product must reproduce the per-x loop float for float,
+    # or the approx draws would drift
+    compared = unreachable = 0
+    for even_cell in (False, True):
+        for q in (0.1, 0.5, 0.9):
+            for rest_even in range(5):
+                for rest_plain in range(5):
+                    for c_res in range(41):
+                        args = (even_cell, q, rest_even, rest_plain, c_res)
+                        try:
+                            want = conditioned_cell_masses_loop(*args)
+                        except ConditioningError:
+                            with pytest.raises(ConditioningError):
+                                conditioned_cell_pmf(*args)
+                            unreachable += 1
+                            continue
+                        got = conditioned_cell_pmf(*args).masses
+                        assert np.array_equal(got, want), args
+                        compared += 1
+    assert compared > 5000 and unreachable > 0
 
 
 def test_conditioned_cell_marginal_wrapper():
