@@ -1,4 +1,4 @@
-"""Exact and near-uniform samplers for margin-constrained discrete structures.
+"""Exact and approximate samplers for margin-constrained discrete structures.
 
 The samplers build their output one binary digit at a time: nonnegative
 integer tables with fixed row and column sums are peeled into bit levels,
@@ -6,15 +6,11 @@ integer tables with fixed row and column sums are peeled into bit levels,
 are assembled from a cascade of 0/1 tables, and integer partitions are
 split recursively by part parity.  Small instances come with exact
 counting and enumeration oracles so uniformity can be tested directly.
+Only the exact table strategies and the partition samplers are uniform; the
+approximate strategies and the Latin cascade are biased.
 """
 
-from .binary_sampler import (
-    BinaryStrategy,
-    full_line_weight,
-    sample_binary_entry,
-    sample_binary_table,
-    tail_line_weight,
-)
+from .binary_sampler import BinaryStrategy, full_line_weight, sample_binary_table
 from .counting import (
     CountOracle,
     count_binary_tables,
@@ -127,7 +123,6 @@ __all__ = [
     "partition_counts",
     "poisson_binomial_pmf",
     "poisson_binomial_point",
-    "sample_binary_entry",
     "sample_binary_table",
     "sample_contingency_table",
     "sample_distinct_partition",
@@ -136,6 +131,5 @@ __all__ = [
     "shared_oracle",
     "table_from_json",
     "table_to_json",
-    "tail_line_weight",
     "validate_table",
 ]

@@ -13,16 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import CountOracle, shared_oracle
-from .diagnostics import SamplerDiagnostics
+from .diagnostics import SamplerDiagnostics, choose_bit
 from .errors import ContradictionError, DeadStateError, InfeasibleError
-from .pmf import ColumnParamScheme, column_parameters, poisson_binomial_point
+from .pmf import poisson_binomial_point
 from .table import MaskedTable, binary_feasible, deterministic_fill
 
 __all__ = [
     "BinaryStrategy",
     "full_line_weight",
-    "tail_line_weight",
-    "sample_binary_entry",
     "sample_binary_table",
 ]
 
@@ -31,12 +29,11 @@ __all__ = [
 class BinaryStrategy:
     """Per-entry decision rule for binary tables.
 
-    kind "exact" draws from completion counts; "full-line" weighs candidates
-    over all open cells of the entry's row and column; "tail-line" restricts
-    to cells after the entry in scan order (the two coincide on states the
-    column-major scan actually reaches).  `refresh` rederives the per-column
-    Bernoulli parameters from the residual state at every decision; when
-    off, parameters are frozen from the initial instance.
+    kind "exact" draws from completion counts and is uniform; "full-line"
+    weighs candidates over all open cells of the entry's row and column and
+    is biased.  `refresh` rederives the per-column Bernoulli parameters from
+    the residual state at every decision; when off, they are derived once,
+    by the same rule, from the initial instance.
     """
 
     kind: str = "full-line"
@@ -44,20 +41,16 @@ class BinaryStrategy:
     refresh: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("exact", "full-line", "tail-line"):
+        if self.kind not in ("exact", "full-line"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
 
 
-def _params_vector(params) -> np.ndarray:
-    if isinstance(params, ColumnParamScheme):
-        if params.kind != "binary":
-            raise ValueError("binary line weights need a binary parameter scheme")
-        return params.p
-    return np.asarray(params, dtype=float)
-
-
 def _refresh_params(t: MaskedTable) -> np.ndarray:
-    """Per-column success probabilities from the current residual state."""
+    """Per-column success probabilities p[j] = c_res[j] / open cells of column j.
+
+    The one parameter rule: refreshed at every decision, or taken once from
+    the initial instance when `BinaryStrategy.refresh` is off.
+    """
     open_cols = t.m - np.count_nonzero(t.mask, axis=0)
     p = np.zeros(t.n)
     pos = open_cols > 0
@@ -65,62 +58,46 @@ def _refresh_params(t: MaskedTable) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def _line_weight(i, j, k, t, p, tail_only: bool) -> float:
-    r_i = int(t.r_res[i]) - k
-    c_j = int(t.c_res[j]) - k
-    if r_i < 0 or c_j < 0:
-        return 0.0
-    row = [l for l in t.open_cols_in_row(i) if l != j and (not tail_only or l > j)]
-    col = [s for s in t.open_rows_in_col(j) if s != i and (not tail_only or s > i)]
-    if r_i > len(row) or c_j > len(col):
-        return 0.0
-    row_factor = poisson_binomial_point(np.array([p[l] for l in row]), r_i)
-    col_factor = poisson_binomial_point(np.full(len(col), p[j]), c_j)
-    return float(row_factor * col_factor)
-
-
-def full_line_weight(i, j, k, t: MaskedTable, params) -> float:
+def full_line_weight(i, j, k, t: MaskedTable, p) -> float:
     """Rejection weight for bit k at (i, j) over its full row and column.
 
     The weight is the probability that the open cells of row i and column j,
     the cell itself excluded, exactly absorb the residual margins net of k,
-    each cell an independent Bernoulli with its column's parameter.
+    each cell an independent Bernoulli with its column's parameter p[l].
     Unreachable residuals give 0.0.
     """
-    return _line_weight(i, j, k, t, _params_vector(params), tail_only=False)
-
-
-def tail_line_weight(i, j, k, t: MaskedTable, params) -> float:
-    """Variant of `full_line_weight` restricted to cells strictly after (i, j)
-    in column-major order; equal to it whenever all earlier cells are already
-    finalized."""
-    return _line_weight(i, j, k, t, _params_vector(params), tail_only=True)
+    r_i = int(t.r_res[i]) - k
+    c_j = int(t.c_res[j]) - k
+    if r_i < 0 or c_j < 0:
+        return 0.0
+    row = [l for l in t.open_cols_in_row(i) if l != j]
+    col = [s for s in t.open_rows_in_col(j) if s != i]
+    if r_i > len(row) or c_j > len(col):
+        return 0.0
+    row_factor = poisson_binomial_point(np.array([p[l] for l in row], dtype=float), r_i)
+    col_factor = poisson_binomial_point(np.full(len(col), p[j], dtype=float), c_j)
+    return float(row_factor * col_factor)
 
 
 def _entry_decision(i, j, t, strategy, p_static, oracle, rng, diag):
-    """Decide the bit at open cell (i, j); returns (bit, fill to commit)."""
+    """Decide the bit at open cell (i, j); returns (bit, fill to commit).
+
+    Exact: weights are completion counts.  Full-line: each candidate is
+    trial-filled and weighted by the proposal probability of the cells it
+    forces times its line weight; a candidate that contradicts weighs 0.
+    """
     if strategy.kind == "exact":
         fz = t.mask.copy()
         fz[i, j] = True
-        a = []
+        counts = []
         for k in (0, 1):
             rr = t.r_res.copy()
             cc = t.c_res.copy()
             rr[i] -= k
             cc[j] -= k
-            a.append(oracle.count_binary_tables(rr, cc, fz))
-        if a[0] + a[1] == 0:
-            raise DeadStateError(f"no completion through cell ({i}, {j})")
-        if a[1] == 0:
-            bit = 0
-        elif a[0] == 0:
-            bit = 1
-        else:
-            diag.bits_consumed += 1
-            bit = 0 if rng.random() <= a[0] / (a[0] + a[1]) else 1
+            counts.append(oracle.count_binary_tables(rr, cc, fz))
+        bit = choose_bit(counts[0], counts[1], rng, diag, (i, j))
         return bit, deterministic_fill([(i, j, bit)], t, mode="binary", assume_fixed_point=True)
-
-    tail = strategy.kind == "tail-line"
     p = _refresh_params(t) if strategy.refresh else p_static
     fills = [None, None]
     weights = [0.0, 0.0]
@@ -133,33 +110,9 @@ def _entry_decision(i, j, t, strategy, p_static, oracle, rng, diag):
         for s, l, v in fr.forced:
             prod *= p[l] if v else (1.0 - p[l])
         fills[k] = fr
-        weights[k] = prod * _line_weight(i, j, 0, fr.table, p, tail)
-    w0, w1 = weights
-    if w0 <= 0.0 and w1 <= 0.0:
-        raise DeadStateError(f"both bit candidates weightless at ({i}, {j})")
-    if w1 <= 0.0:
-        bit = 0
-    elif w0 <= 0.0:
-        bit = 1
-    else:
-        diag.bits_consumed += 1
-        bit = 0 if rng.random() <= w0 / (w0 + w1) else 1
+        weights[k] = prod * full_line_weight(i, j, 0, fr.table, p)
+    bit = choose_bit(weights[0], weights[1], rng, diag, (i, j))
     return bit, fills[bit]
-
-
-def sample_binary_entry(i, j, t: MaskedTable, strategy=None, rng=None, seed=None) -> int:
-    """Decide one open entry of a partially filled binary table.
-
-    Does not modify `t`.  The draw matches a single step of
-    `sample_binary_table` at the same state; under a static parameter scheme
-    the instance is taken to be the current residual state.
-    """
-    strategy = strategy if strategy is not None else BinaryStrategy()
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    oracle = strategy.oracle if strategy.oracle is not None else shared_oracle()
-    p_static = None if strategy.refresh else _refresh_params(t)
-    bit, _ = _entry_decision(i, j, t, strategy, p_static, oracle, rng, SamplerDiagnostics())
-    return bit
 
 
 def sample_binary_table(
@@ -171,9 +124,11 @@ def sample_binary_table(
     rng=None,
     max_restarts: int = 1000,
 ):
-    """Draw a uniform 0/1 table with the given margins and forced zeros.
+    """Draw a 0/1 table with the given margins and forced zeros.
 
-    Returns (entries, diagnostics).  Raises InfeasibleError when no binary
+    The draw is uniform under the "exact" strategy only; "full-line" draws
+    are biased (ROADMAP.md tabulates the measured bias).  Returns
+    (entries, diagnostics).  Raises InfeasibleError when no binary
     table fits the instance at all, and DeadStateError when the approximate
     weights exhaust `max_restarts` restarts.
     """
@@ -189,10 +144,7 @@ def sample_binary_table(
             raise InfeasibleError("no binary table matches the margins and mask")
     elif not binary_feasible(base.r_res, base.c_res, base.mask):
         raise InfeasibleError("no binary table matches the margins and mask")
-    p_static = None
-    if not strategy.refresh:
-        h0 = np.count_nonzero(base.mask, axis=0)
-        p_static = column_parameters(base.c_res, h0, base.m, "binary").p
+    p_static = None if strategy.refresh else _refresh_params(base)
     diag = SamplerDiagnostics()
     budget = max_restarts if strategy.kind != "exact" else 0
     for attempt in range(budget + 1):

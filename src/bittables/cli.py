@@ -22,8 +22,6 @@ from .counting import (
     DEFAULT_MAX_INTEGER_MARGIN,
     DEFAULT_MAX_LATIN_ORDER,
     CountOracle,
-    _enumerate_rec,
-    CountQuery,
 )
 from .errors import DeadStateError, InfeasibleError, OracleLimitError
 from .integer_sampler import BitSamplerStrategy, sample_contingency_table
@@ -34,6 +32,15 @@ from .stats import chi_square_uniformity
 from .table import entries_to_csv, validate_table
 
 SCHEMA = 1
+
+BINARY_STRATEGY_HELP = (
+    "exact is uniform but small-instance only; full-line is biased; "
+    "tail-line is an alias of full-line"
+)
+LATIN_STRATEGY_HELP = (
+    "rule for each class table: exact (uniform per table, the square is still "
+    "biased) or full-line (biased); tail-line is an alias of full-line"
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -88,6 +95,12 @@ def _oracle() -> CountOracle:
         max_binary_dim=_env_int("BITTABLES_MAX_BINARY_DIM", DEFAULT_MAX_BINARY_DIM),
         max_latin_order=_env_int("BITTABLES_MAX_LATIN_ORDER", DEFAULT_MAX_LATIN_ORDER),
     )
+
+
+def _binary_kind(name: str) -> str:
+    """Binary strategy kind for a --strategy value; "tail-line" is an alias of
+    "full-line" (the two gave the same draws).  Payloads echo the value given."""
+    return "full-line" if name == "tail-line" else name
 
 
 def _budget(flag_value) -> int:
@@ -151,7 +164,9 @@ def cmd_sample_binary(args, out) -> int:
     r = _int_list(args.rows)
     c = _int_list(args.cols)
     mask = _mask_array(args.mask, len(r), len(c))
-    strategy = BinaryStrategy(kind=args.strategy, oracle=_oracle(), refresh=not args.static_params)
+    strategy = BinaryStrategy(
+        kind=_binary_kind(args.strategy), oracle=_oracle(), refresh=not args.static_params
+    )
     budget = _budget(args.max_restarts)
     all_valid = True
     for t in range(args.samples):
@@ -182,7 +197,7 @@ def cmd_sample_binary(args, out) -> int:
 
 
 def cmd_sample_latin(args, out) -> int:
-    strategy = BinaryStrategy(kind=args.strategy, oracle=_oracle())
+    strategy = BinaryStrategy(kind=_binary_kind(args.strategy), oracle=_oracle())
     policy = RestartPolicy(scope=args.policy, budget=_budget(args.budget))
     all_valid = True
     for t in range(args.samples):
@@ -270,14 +285,8 @@ def _uniformity_outcomes(args, oracle):
         r = _int_list(args.rows)
         c = _int_list(args.cols)
         mask = _mask_array(args.mask, len(r), len(c))
-        qkind = "integer" if args.kind == "ct" else "binary"
-        q = CountQuery.build(qkind, r, c, mask, None)
-        if qkind == "integer":
-            oracle.check_integer_limits([max(x, 0) for x in q.r], [max(x, 0) for x in q.c])
-        else:
-            oracle.check_binary_limits(q.r, q.c)
-        keys = list(_enumerate_rec(q))
         if args.kind == "ct":
+            keys = list(oracle.enumerate_integer_tables(r, c, mask))
             strategy = BitSamplerStrategy(kind=args.strategy or "exact", oracle=oracle)
 
             def draw(rng):
@@ -285,7 +294,8 @@ def _uniformity_outcomes(args, oracle):
                 return tuple(tuple(int(x) for x in row) for row in entries)
 
         else:
-            strategy = BinaryStrategy(kind=args.strategy or "exact", oracle=oracle)
+            keys = list(oracle.enumerate_binary_tables(r, c, mask))
+            strategy = BinaryStrategy(kind=_binary_kind(args.strategy or "exact"), oracle=oracle)
 
             def draw(rng):
                 entries, _ = sample_binary_table(r, c, mask, strategy, rng=rng)
@@ -296,7 +306,7 @@ def _uniformity_outcomes(args, oracle):
         raise ValueError(f"kind {args.kind} needs --n")
     if args.kind == "latin":
         keys = list(oracle.iter_latin_squares(args.n))
-        strategy = BinaryStrategy(kind=args.strategy or "full-line", oracle=oracle)
+        strategy = BinaryStrategy(kind=_binary_kind(args.strategy or "full-line"), oracle=oracle)
 
         def draw(rng):
             square, _ = sample_latin_square(args.n, strategy, rng=rng)
@@ -357,7 +367,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--rows", required=True, help="comma-separated row sums")
     sp.add_argument("--cols", required=True, help="comma-separated column sums")
     sp.add_argument("--mask", default="", help="forced-zero cells 'i,j;i,j' (0-based)")
-    sp.add_argument("--strategy", choices=["exact", "approx"], default="approx")
+    sp.add_argument("--strategy", choices=["exact", "approx"], default="approx",
+                    help="exact is uniform but small-instance only; approx is biased")
     sp.add_argument("--scan", choices=["column", "row"], default="column")
     sp.add_argument("--retain-levels", action="store_true", help="keep bit planes")
     sp.add_argument("--max-restarts", type=int, default=None)
@@ -368,7 +379,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--rows", required=True)
     sp.add_argument("--cols", required=True)
     sp.add_argument("--mask", default="")
-    sp.add_argument("--strategy", choices=["exact", "full-line", "tail-line"], default="full-line")
+    sp.add_argument("--strategy", choices=["exact", "full-line", "tail-line"], default="full-line",
+                    help=BINARY_STRATEGY_HELP)
     sp.add_argument("--static-params", action="store_true", help="freeze column parameters")
     sp.add_argument("--max-restarts", type=int, default=None)
     common(sp, fmt=True)
@@ -376,7 +388,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("sample-latin", help="Latin squares")
     sp.add_argument("--n", type=int, required=True, help="order")
-    sp.add_argument("--strategy", choices=["exact", "full-line", "tail-line"], default="full-line")
+    sp.add_argument("--strategy", choices=["exact", "full-line", "tail-line"], default="full-line",
+                    help=LATIN_STRATEGY_HELP)
     sp.add_argument("--policy", choices=["retry_level", "restart_all", "abort"], default="retry_level")
     sp.add_argument("--budget", type=int, default=None)
     common(sp, fmt=True)

@@ -105,6 +105,15 @@ class CountOracle:
                 f"binary instance {len(r)}x{len(c)} exceeds limit {self.max_binary_dim}"
             )
 
+    def _query(self, kind, r, c, forced_zero=None, forced_even=None) -> CountQuery:
+        """Build the query and check it against this oracle's limits."""
+        q = CountQuery.build(kind, r, c, forced_zero, forced_even)
+        if kind == "integer":
+            self.check_integer_limits([max(x, 0) for x in q.r], [max(x, 0) for x in q.c])
+        else:
+            self.check_binary_limits(q.r, q.c)
+        return q
+
     # -- counting ----------------------------------------------------------
 
     def count_integer_tables(self, r, c, forced_zero=None, forced_even=None) -> int:
@@ -113,15 +122,11 @@ class CountOracle:
         Cells under `forced_zero` must be 0 and cells under `forced_even`
         must be even.  Unbalanced or negative margins count zero tables.
         """
-        q = CountQuery.build("integer", r, c, forced_zero, forced_even)
-        self.check_integer_limits([max(x, 0) for x in q.r], [max(x, 0) for x in q.c])
-        return self._count(q)
+        return self._count(self._query("integer", r, c, forced_zero, forced_even))
 
     def count_binary_tables(self, r, c, forced_zero=None) -> int:
         """Number of 0/1 tables with the given margins and forced zeros."""
-        q = CountQuery.build("binary", r, c, forced_zero, None)
-        self.check_binary_limits(q.r, q.c)
-        return self._count(q)
+        return self._count(self._query("binary", r, c, forced_zero))
 
     def _count(self, q: CountQuery) -> int:
         cached = self._cache.get(q)
@@ -133,6 +138,16 @@ class CountOracle:
             result = _count_rec(q)
         self._cache[q] = result
         return result
+
+    # -- enumeration -------------------------------------------------------
+
+    def enumerate_integer_tables(self, r, c, forced_zero=None, forced_even=None):
+        """Iterator over the tables `count_integer_tables` counts, as row tuples."""
+        return _enumerate_rec(self._query("integer", r, c, forced_zero, forced_even))
+
+    def enumerate_binary_tables(self, r, c, forced_zero=None):
+        """Iterator over the tables `count_binary_tables` counts, as row tuples."""
+        return _enumerate_rec(self._query("binary", r, c, forced_zero))
 
     # -- Latin squares -----------------------------------------------------
 
@@ -308,15 +323,11 @@ def count_binary_tables(r, c, forced_zero=None) -> int:
 
 def enumerate_integer_tables(r, c, forced_zero=None, forced_even=None):
     """Yield all integer tables for the instance (small sizes only)."""
-    q = CountQuery.build("integer", r, c, forced_zero, forced_even)
-    _default_oracle.check_integer_limits([max(x, 0) for x in q.r], [max(x, 0) for x in q.c])
-    return _enumerate_rec(q)
+    return _default_oracle.enumerate_integer_tables(r, c, forced_zero, forced_even)
 
 
 def enumerate_binary_tables(r, c, forced_zero=None):
-    q = CountQuery.build("binary", r, c, forced_zero, None)
-    _default_oracle.check_binary_limits(q.r, q.c)
-    return _enumerate_rec(q)
+    return _default_oracle.enumerate_binary_tables(r, c, forced_zero)
 
 
 def iter_latin_squares(n: int):

@@ -1,8 +1,10 @@
-"""Shared bookkeeping for sampler runs."""
+"""Shared bookkeeping for sampler runs, and the one bit draw they all make."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .errors import DeadStateError
 
 
 @dataclass
@@ -39,3 +41,22 @@ class SamplerDiagnostics:
         if self.failure_site is not None:
             out["failure_site"] = list(self.failure_site)
         return out
+
+
+def choose_bit(w0, w1, rng, diag: SamplerDiagnostics, cell, level=None) -> int:
+    """Draw the bit at `cell` from its two nonnegative candidate weights.
+
+    The weights are exact completion counts (ints) or line weights (floats);
+    only their ratio matters.  Both zero is a dead state.  One zero forces
+    the other bit without touching `rng`.  Otherwise one random bit is
+    counted in `diag` and bit 0 comes with probability w0 / (w0 + w1).
+    """
+    if w0 <= 0 and w1 <= 0:
+        where = f"cell {cell}" if level is None else f"cell {cell} in level {level}"
+        raise DeadStateError(f"neither bit can complete at {where}")
+    if w1 <= 0:
+        return 0
+    if w0 <= 0:
+        return 1
+    diag.bits_consumed += 1
+    return 0 if rng.random() <= w0 / (w0 + w1) else 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import CountOracle, shared_oracle
-from .diagnostics import SamplerDiagnostics
+from .diagnostics import SamplerDiagnostics, choose_bit
 from .errors import ConditioningError, ContradictionError, DeadStateError, InfeasibleError
 from .pmf import ColumnParamScheme, column_parameters, conditioned_cell_pmf, mixed_column_sum_pmf
 from .table import MaskedTable, deterministic_fill
@@ -58,11 +58,18 @@ def exact_bit_distribution(i, j, t: MaskedTable, forced_even=None, oracle=None) 
     admits a completion.
     """
     oracle = oracle if oracle is not None else shared_oracle()
-    fe = (
-        np.zeros((t.m, t.n), dtype=bool)
-        if forced_even is None
-        else np.asarray(forced_even, dtype=bool).copy()
-    )
+    if forced_even is None:
+        forced_even = np.zeros((t.m, t.n), dtype=bool)
+    a0, a1 = _completion_counts(i, j, t, np.asarray(forced_even, dtype=bool), oracle)
+    if a0 + a1 == 0:
+        raise DeadStateError(f"no completion through cell ({i}, {j})")
+    return a0 / (a0 + a1)
+
+
+def _completion_counts(i, j, t, forced_even, oracle) -> list:
+    """Completions of state `t` (r_res, c_res, mask) with bit 0 and bit 1 at
+    (i, j): cell (i, j) and the `forced_even` cells keep even remainders."""
+    fe = forced_even.copy()
     fe[i, j] = True
     counts = []
     for k in (0, 1):
@@ -71,10 +78,7 @@ def exact_bit_distribution(i, j, t: MaskedTable, forced_even=None, oracle=None) 
         r[i] -= k
         c[j] -= k
         counts.append(oracle.count_integer_tables(r, c, t.mask, fe))
-    a0, a1 = counts
-    if a0 + a1 == 0:
-        raise DeadStateError(f"no completion through cell ({i}, {j})")
-    return a0 / (a0 + a1)
+    return counts
 
 
 # The line laws depend on their column only through its parameter, so the
@@ -105,20 +109,20 @@ def _cell_law(scheme: ColumnParamScheme, q, cell_even: bool, rest_even: int, res
     return masses
 
 
-def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -> float:
+def approx_bit_weight(i, j, k: int, t, scheme: ColumnParamScheme) -> float:
     """Factorized weight for assigning bit k to cell (i, j).
 
-    The state is assumed scanned in column-major order up to (i, j): open
-    cells in columns before j, and in column j at rows up to i, already hold
-    their bit and carry an even remainder; later cells are untouched.  The
-    weight is the probability of the cell's column residual under the mixed
-    even/plain column law times the probability of its row residual under a
-    convolution of per-cell laws, each conditioned on its own column sum.
-    The candidate bit is folded into both residuals up front.  Returns 0.0
-    for unreachable residuals.  The line laws are memoised on `scheme`.
+    `t` is any state with residual margins `r_res`, `c_res` and a closed-cell
+    `mask`, such as a `MaskedTable`.  It is assumed scanned in column-major
+    order up to (i, j): open cells in columns before j, and in column j at
+    rows up to i, already hold their bit and carry an even remainder; later
+    cells are untouched.  The weight is the probability of the cell's column
+    residual under the mixed even/plain column law times the probability of
+    its row residual under a convolution of per-cell laws, each conditioned
+    on its own column sum.  The candidate bit is folded into both residuals
+    up front.  Returns 0.0 for unreachable residuals.  The line laws are
+    memoised on `scheme`.
     """
-    if scheme.kind != "integer":
-        raise ValueError("approx_bit_weight needs an integer parameter scheme")
     q = scheme.q
     r_i = int(t.r_res[i]) - k
     c_j = int(t.c_res[j]) - k
@@ -152,47 +156,47 @@ def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -
 
 
 class _LevelState:
-    """Mutable within-level state; margins are in units of the level bit."""
+    """Mutable within-level state; margins are in units of the level bit.
 
-    __slots__ = ("r", "c", "perm", "pending", "_entries")
+    `mask` marks cells whose level bit is decided or pinned to remainder 0;
+    `pending` marks decided cells that keep an even remainder.
+    """
 
-    def __init__(self, r, c, perm, pending, entries_scratch):
-        self.r = r
-        self.c = c
-        self.perm = perm
+    __slots__ = ("r_res", "c_res", "mask", "pending")
+
+    def __init__(self, r_res, c_res, mask, pending):
+        self.r_res = r_res
+        self.c_res = c_res
+        self.mask = mask
         self.pending = pending
-        self._entries = entries_scratch  # shared dummy, never written
 
     def copy(self) -> "_LevelState":
         return _LevelState(
-            self.r.copy(), self.c.copy(), self.perm.copy(), self.pending.copy(), self._entries
+            self.r_res.copy(), self.c_res.copy(), self.mask.copy(), self.pending.copy()
         )
 
     def adopt(self, other: "_LevelState") -> None:
-        self.r, self.c = other.r, other.c
-        self.perm, self.pending = other.perm, other.pending
-
-    def as_table(self) -> MaskedTable:
-        return MaskedTable(self._entries, self.perm, self.r, self.c)
+        self.r_res, self.c_res = other.r_res, other.c_res
+        self.mask, self.pending = other.mask, other.pending
 
 
 def _close_row(st: _LevelState, i: int, q, acc) -> None:
     # residual hit zero: pin every remaining cell of the row to remainder 0
-    for l in np.flatnonzero(~st.perm[i]):
+    for l in np.flatnonzero(~st.mask[i]):
         acc[0] *= (1.0 - q[l] * q[l]) if st.pending[i, l] else (1.0 - q[l])
-        st.perm[i, l] = True
+        st.mask[i, l] = True
         st.pending[i, l] = False
-        if st.c[l] > 0 and bool(st.perm[:, l].all()):
-            raise ContradictionError(f"column {l} stranded with residual {st.c[l]}")
+        if st.c_res[l] > 0 and bool(st.mask[:, l].all()):
+            raise ContradictionError(f"column {l} stranded with residual {st.c_res[l]}")
 
 
 def _close_col(st: _LevelState, j: int, q, acc) -> None:
-    for s in np.flatnonzero(~st.perm[:, j]):
+    for s in np.flatnonzero(~st.mask[:, j]):
         acc[0] *= (1.0 - q[j] * q[j]) if st.pending[s, j] else (1.0 - q[j])
-        st.perm[s, j] = True
+        st.mask[s, j] = True
         st.pending[s, j] = False
-        if st.r[s] > 0 and bool(st.perm[s].all()):
-            raise ContradictionError(f"row {s} stranded with residual {st.r[s]}")
+        if st.r_res[s] > 0 and bool(st.mask[s].all()):
+            raise ContradictionError(f"row {s} stranded with residual {st.r_res[s]}")
 
 
 def _apply_bit(st: _LevelState, i: int, j: int, k: int, q, acc) -> None:
@@ -204,40 +208,29 @@ def _apply_bit(st: _LevelState, i: int, j: int, k: int, q, acc) -> None:
     """
     acc[0] *= (q[j] if k else 1.0) / (1.0 + q[j])
     if k:
-        if st.r[i] == 0 or st.c[j] == 0:
+        if st.r_res[i] == 0 or st.c_res[j] == 0:
             raise ContradictionError(f"bit 1 at ({i}, {j}) exceeds a zero residual")
-        st.r[i] -= 1
-        st.c[j] -= 1
+        st.r_res[i] -= 1
+        st.c_res[j] -= 1
     st.pending[i, j] = True
-    if st.r[i] == 0:
+    if st.r_res[i] == 0:
         _close_row(st, i, q, acc)
-    if st.c[j] == 0:
+    if st.c_res[j] == 0:
         _close_col(st, j, q, acc)
 
 
 def _decide(st, i, j, level, strategy, scheme, oracle, rng, diag) -> int:
+    """Draw and commit the level bit of open cell (i, j).
+
+    Exact: weights are completion counts.  Approx: each candidate is applied
+    to a trial copy, weighted by the proposal probability of the decisions
+    it forces times its line weight; a candidate that strands a line weighs 0.
+    """
     if strategy.kind == "exact":
-        fe = st.pending.copy()
-        fe[i, j] = True
-        a = []
-        for k in (0, 1):
-            rr = st.r.copy()
-            cc = st.c.copy()
-            rr[i] -= k
-            cc[j] -= k
-            a.append(oracle.count_integer_tables(rr, cc, st.perm, fe))
-        if a[0] + a[1] == 0:
-            raise DeadStateError(f"no completion at ({i}, {j}) in level {level}")
-        if a[1] == 0:
-            bit = 0
-        elif a[0] == 0:
-            bit = 1
-        else:
-            diag.bits_consumed += 1
-            bit = 0 if rng.random() <= a[0] / (a[0] + a[1]) else 1
+        w0, w1 = _completion_counts(i, j, st, st.pending, oracle)
+        bit = choose_bit(w0, w1, rng, diag, (i, j), level)
         _apply_bit(st, i, j, bit, scheme.q, [1.0])
         return bit
-
     trials = [None, None]
     weights = [0.0, 0.0]
     for k in (0, 1):
@@ -248,17 +241,8 @@ def _decide(st, i, j, level, strategy, scheme, oracle, rng, diag) -> int:
         except ContradictionError:
             continue
         trials[k] = tr
-        weights[k] = acc[0] * approx_bit_weight(i, j, 0, tr.as_table(), scheme)
-    p0, p1 = weights
-    if p0 <= 0.0 and p1 <= 0.0:
-        raise DeadStateError(f"both bit candidates weightless at ({i}, {j}) in level {level}")
-    if p1 <= 0.0:
-        bit = 0
-    elif p0 <= 0.0:
-        bit = 1
-    else:
-        diag.bits_consumed += 1
-        bit = 0 if rng.random() <= p0 / (p0 + p1) else 1
+        weights[k] = acc[0] * approx_bit_weight(i, j, 0, tr, scheme)
+    bit = choose_bit(weights[0], weights[1], rng, diag, (i, j), level)
     st.adopt(trials[bit])
     return bit
 
@@ -282,16 +266,16 @@ def _run_levels(pre, levels, strategy, oracle, rng, diag) -> np.ndarray:
                 assembled[fi, fj] += v << b
             perm, r, c = fill.table.mask, fill.table.r_res, fill.table.c_res
         h = np.count_nonzero(perm, axis=0)
-        scheme = column_parameters(c, h, m, "integer")
-        st = _LevelState(r, c, perm, np.zeros((m, n), dtype=bool), scratch)
+        scheme = column_parameters(c, h, m)
+        st = _LevelState(r, c, perm, np.zeros((m, n), dtype=bool))
         for j in range(n):
             for i in range(m):
-                if st.perm[i, j]:
+                if st.mask[i, j]:
                     continue
                 bit = _decide(st, i, j, b, strategy, scheme, oracle, rng, diag)
                 if bit:
                     assembled[i, j] += 1 << b
-        perm, r, c = st.perm, st.r, st.c
+        perm, r, c = st.mask, st.r_res, st.c_res
         if not bool((st.pending | perm).all()):
             raise ContradictionError(f"level {b} scan left an undecided cell")
         if np.any(r & 1) or np.any(c & 1):
@@ -315,9 +299,11 @@ def sample_contingency_table(
     retain_bit_levels: bool = False,
     scan: str = "column",
 ):
-    """Draw a uniform nonnegative integer table with the given margins.
+    """Draw a nonnegative integer table with the given margins.
 
-    Returns (entries, diagnostics).  `forced_zero` marks structurally zero
+    The draw is uniform under the "exact" strategy only; "approx" draws are
+    biased (ROADMAP.md tabulates the measured bias).  Returns
+    (entries, diagnostics).  `forced_zero` marks structurally zero
     cells; `scan` is "column" (default) or "row" for the per-level traversal
     order; `max_restarts` bounds dead-state restarts of the approximate
     strategy.  Raises InfeasibleError when propagation proves the margins

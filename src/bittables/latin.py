@@ -134,9 +134,12 @@ def sample_latin_square(
     seed=None,
     rng=None,
 ):
-    """Draw a uniform random Latin square of order n.
+    """Draw a random Latin square of order n.
 
-    Returns (square, diagnostics).  `strategy` configures the inner binary
+    The draw is not uniform under either strategy.  Each class table is
+    drawn on its own, without weighting by how many squares complete it, so
+    even exact class tables leave the square biased (ROADMAP.md tabulates
+    the measured bias).  Returns (square, diagnostics).  `strategy` configures the inner binary
     table sampler; `policy` says how to escalate when a class table dies.
     Raises DeadStateError once the policy is exhausted, with the failing
     (level, residue) recorded in the diagnostics.

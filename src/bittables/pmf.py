@@ -18,14 +18,12 @@ __all__ = [
     "DiscretePMF",
     "ColumnParamScheme",
     "geometric_pmf",
-    "negative_binomial_pmf",
     "geometric_dist",
     "negative_binomial_dist",
     "poisson_binomial_pmf",
     "poisson_binomial_point",
     "mixed_column_sum_pmf",
     "conditioned_cell_pmf",
-    "conditioned_cell_marginal",
     "convolve_truncated",
     "column_parameters",
 ]
@@ -82,11 +80,10 @@ class DiscretePMF:
 
 @dataclass(frozen=True)
 class ColumnParamScheme:
-    """Per-column tilt parameters for one table instance.
+    """Per-column geometric parameters q[j] for one integer table level.
 
-    For integer cells each column j carries a geometric parameter q[j]; for
-    binary cells a Bernoulli success probability p[j].  h[j] counts the
-    closed cells of column j used when the parameters were derived.
+    h[j] counts the closed cells of column j used when the parameters were
+    derived.
 
     `column_factors` and `cell_laws` memoise the integer line laws under
     these parameters (see `integer_sampler.approx_bit_weight`).  A sampler
@@ -95,20 +92,10 @@ class ColumnParamScheme:
     column and the residuals, and it needs no size limit.
     """
 
-    kind: str  # "integer" or "binary"
     h: np.ndarray
-    q: np.ndarray | None = None
-    p: np.ndarray | None = None
+    q: np.ndarray
     column_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     cell_laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in ("integer", "binary"):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "integer" and self.q is None:
-            raise ValueError("integer scheme requires q")
-        if self.kind == "binary" and self.p is None:
-            raise ValueError("binary scheme requires p")
 
 
 def geometric_pmf(q: float, k: int) -> float:
@@ -118,25 +105,6 @@ def geometric_pmf(q: float, k: int) -> float:
     if k < 0:
         raise ValueError(f"geometric support is nonnegative, got k={k}")
     return (1.0 - q) * q**k
-
-
-def negative_binomial_pmf(m: int, q: float, k: int) -> float:
-    """P(S = k) for the sum S of m independent geometric(q) variables.
-
-    Equals C(m+k-1, k) * (1-q)**m * q**k; m = 0 degenerates to a point
-    mass at zero.
-    """
-    if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
-    if k < 0:
-        raise ValueError(f"support is nonnegative, got k={k}")
-    if m == 0:
-        return 1.0 if k == 0 else 0.0
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"parameter must lie in (0, 1), got {q}")
-    from math import comb
-
-    return comb(m + k - 1, k) * (1.0 - q) ** m * q**k
 
 
 def geometric_dist(q: float, cap: int) -> DiscretePMF:
@@ -295,24 +263,12 @@ def conditioned_cell_pmf(
     return DiscretePMF(offset=0, masses=masses / denom, truncated=False)
 
 
-def conditioned_cell_marginal(
-    cell_class: str, q: float, rest_even: int, rest_plain: int, c_res: int, x: int
-) -> float:
-    """Single point of `conditioned_cell_pmf`; cell_class is 'even' or 'plain'."""
-    if cell_class not in ("even", "plain"):
-        raise ValueError(f"unknown cell class {cell_class!r}")
-    if x < 0 or x > c_res:
-        return 0.0
-    return conditioned_cell_pmf(cell_class == "even", q, rest_even, rest_plain, c_res).prob(x)
+def column_parameters(c, h, m: int) -> ColumnParamScheme:
+    """Derive per-column geometric parameters from column sums and closed-cell counts.
 
-
-def column_parameters(c, h, m: int, kind: str) -> ColumnParamScheme:
-    """Derive per-column tilt parameters from column sums and closed-cell counts.
-
-    Integer kind: q[j] = c[j] / (m - h[j] + c[j]), which makes the open-cell
-    geometric column sum have expectation c[j].  Binary kind:
-    p[j] = c[j] / (m - h[j]), the matching Bernoulli expectation; requires
-    c[j] <= m - h[j].  Columns with c[j] = 0 get a degenerate parameter 0.
+    q[j] = c[j] / (m - h[j] + c[j]), which makes the open-cell geometric
+    column sum have expectation c[j].  Columns with c[j] = 0 get the
+    degenerate parameter 0.
     """
     c = np.asarray(c, dtype=np.int64)
     h = np.asarray(h, dtype=np.int64)
@@ -323,16 +279,7 @@ def column_parameters(c, h, m: int, kind: str) -> ColumnParamScheme:
     open_cells = m - h
     if np.any((c > 0) & (open_cells <= 0)):
         raise ValueError("positive column sum with no open cells")
-    if kind == "integer":
-        q = np.zeros(len(c))
-        pos = c > 0
-        q[pos] = c[pos] / (open_cells[pos] + c[pos])
-        return ColumnParamScheme(kind="integer", h=h, q=q)
-    if kind == "binary":
-        if np.any(c > open_cells):
-            raise ValueError("binary column sum exceeds open cell count")
-        p = np.zeros(len(c))
-        pos = c > 0
-        p[pos] = c[pos] / open_cells[pos]
-        return ColumnParamScheme(kind="binary", h=h, p=np.clip(p, 0.0, 1.0))
-    raise ValueError(f"unknown kind {kind!r}")
+    q = np.zeros(len(c))
+    pos = c > 0
+    q[pos] = c[pos] / (open_cells[pos] + c[pos])
+    return ColumnParamScheme(h=h, q=q)

@@ -172,3 +172,14 @@ def conditioned_cell_masses_loop(even_cell, q, rest_even, rest_plain, c_res):
         raise ConditioningError(f"column sum {c_res} unreachable")
     masses = np.array([base.prob(x) * rest.prob(c_res - x) for x in range(c_res + 1)])
     return masses / denom
+
+
+def conditioned_cell_marginal(cell_class, q, rest_even, rest_plain, c_res, x):
+    """Single point of `conditioned_cell_pmf`; cell_class is 'even' or 'plain'."""
+    from bittables.pmf import conditioned_cell_pmf
+
+    if cell_class not in ("even", "plain"):
+        raise ValueError(f"unknown cell class {cell_class!r}")
+    if x < 0 or x > c_res:
+        return 0.0
+    return conditioned_cell_pmf(cell_class == "even", q, rest_even, rest_plain, c_res).prob(x)

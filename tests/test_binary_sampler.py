@@ -5,10 +5,9 @@ import pytest
 
 from bittables.binary_sampler import (
     BinaryStrategy,
+    _refresh_params,
     full_line_weight,
-    sample_binary_entry,
     sample_binary_table,
-    tail_line_weight,
 )
 from bittables.errors import InfeasibleError, OracleLimitError
 from bittables.seeding import batch_rng
@@ -26,7 +25,6 @@ def test_line_weight_hand_values():
     p = [0.5, 0.5]
     for k in (0, 1):
         assert abs(full_line_weight(0, 0, k, t, p) - 0.25) < 1e-12
-        assert abs(tail_line_weight(0, 0, k, t, p) - 0.25) < 1e-12
     # residual beyond the open cells is unreachable
     t2 = MaskedTable.from_margins([2, 0], [1, 1])
     assert full_line_weight(0, 0, 0, t2, p) == 0.0
@@ -48,14 +46,23 @@ def test_first_cell_law_symmetric_instance():
     # branch forces the rest of column 0 to ones, so
     #   w0 = (1/3)(2/3)(2/3) * P(row 0 absorbs 2) = 4/27 * 4/9
     #   w1 = (2/3) * P(row 0 absorbs 1) * P(col 0 absorbs 1) = 2/3 * 16/81
-    # giving P(bit=0) = 1/3, equal to the true marginal 2/6
-    t = MaskedTable.from_margins([2, 2, 2], [2, 2, 2])
+    # giving P(bit=0) = 1/3, equal to the true marginal 2/6.  Nothing is
+    # forced before (0, 0), so it is the table's first decision and first
+    # random draw.
     zeros = 0
     trials = 4000
     for s in range(trials):
-        zeros += sample_binary_entry(0, 0, t, rng=batch_rng(11, s)) == 0
+        e, _ = sample_binary_table([2, 2, 2], [2, 2, 2], rng=batch_rng(11, s))
+        zeros += e[0, 0] == 0
     assert abs(zeros / trials - 1 / 3) < 0.03
-    assert not t.mask.any()  # the probe never mutates its input
+
+
+def test_refresh_params_per_cell_mean():
+    # p[j] = c[j] / open cells of column j; static parameters are these
+    # values at the initial instance
+    zero = np.array([[False, True], [False, False], [False, False]])
+    t = MaskedTable.from_margins([1, 1, 1], [2, 1], zero)
+    assert np.allclose(_refresh_params(t), [2 / 3, 1 / 2])
 
 
 def test_exact_strategy_uniform_3x3():
@@ -91,11 +98,9 @@ def test_exact_strategy_uniform_masked():
 
 def test_soft_strategies_produce_valid_tables():
     r, c = [3, 2, 4, 1], [2, 3, 2, 3]
-    for kind in ("full-line", "tail-line"):
-        strategy = BinaryStrategy(kind=kind)
-        for s in range(30):
-            e, _ = sample_binary_table(r, c, strategy=strategy, rng=batch_rng(7, s))
-            assert validate_table(e, r, c, mode="binary")
+    for s in range(30):
+        e, _ = sample_binary_table(r, c, rng=batch_rng(7, s))
+        assert validate_table(e, r, c, mode="binary")
     static = BinaryStrategy(kind="full-line", refresh=False)
     for s in range(30):
         e, _ = sample_binary_table(r, c, strategy=static, rng=batch_rng(13, s))
@@ -139,6 +144,8 @@ def test_infeasible_and_limit_errors():
         )
     with pytest.raises(ValueError):
         BinaryStrategy(kind="soft")
+    with pytest.raises(ValueError):
+        BinaryStrategy(kind="tail-line")  # a CLI alias only
 
 
 def test_mask_respected_in_samples():

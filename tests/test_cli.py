@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,31 @@ def test_latin_validate_flag(capsys):
         assert obj["valid"] is True
         grid = np.asarray(obj["square"])
         assert sorted(grid[0].tolist()) == [1, 2, 3, 4, 5, 6]
+
+
+def test_tail_line_is_an_alias_of_full_line(capsys):
+    # same draws, same bytes; only the echoed strategy differs
+    for argv in (
+        ["sample-binary", "--rows", "3,2,4,1", "--cols", "2,3,2,3", "--samples", "4",
+         "--seed", "8"],
+        ["sample-binary", "--rows", "2,2,2,2,2", "--cols", "2,2,2,2,2", "--mask", "0,0;1,1",
+         "--static-params", "--samples", "3", "--seed", "2"],
+        ["sample-latin", "--n", "8", "--samples", "2", "--seed", "3"],
+    ):
+        code_full, full = run_cli(capsys, *argv, "--strategy", "full-line")
+        code_tail, tail = run_cli(capsys, *argv, "--strategy", "tail-line")
+        assert code_full == code_tail == 0
+        assert full.count('"strategy":"full-line"') == len(full.splitlines())
+        assert tail == full.replace('"strategy":"full-line"', '"strategy":"tail-line"')
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(block, ns)
+    assert sum(ns["parts"]) == 100
+    assert ns["square"].is_valid()
 
 
 def test_uniformity_command_ct(capsys):

@@ -38,7 +38,7 @@ def test_first_bit_weight_hand_value():
     # Row factor: even cell given column sum 2 is uniform on {0,2}, plain
     # cell given sum 2 uniform on {0,1,2}; P(row sum 2) = 1/3.  F = 1/16.
     t = _square22()
-    scheme = column_parameters(t.c_res, [0, 0], 2, "integer")
+    scheme = column_parameters(t.c_res, [0, 0], 2)
     assert abs(scheme.q[0] - 0.5) < 1e-15
     for k in (0, 1):
         assert abs(approx_bit_weight(0, 0, k, t, scheme) - 0.0625) < 1e-12
@@ -49,12 +49,13 @@ def test_first_bit_weight_hand_value():
 
 def test_bit_weight_unreachable_residuals():
     t = _square22()
-    scheme = column_parameters(t.c_res, [0, 0], 2, "integer")
+    scheme = column_parameters(t.c_res, [0, 0], 2)
     t2 = t.copy()
     t2.r_res[0] = 0
     assert approx_bit_weight(0, 0, 1, t2, scheme) == 0.0
-    with pytest.raises(ValueError):
-        approx_bit_weight(0, 0, 0, t, column_parameters([1, 1], [0, 0], 2, "binary"))
+    t3 = t.copy()
+    t3.c_res[0] = 0
+    assert approx_bit_weight(0, 0, 1, t3, scheme) == 0.0
 
 
 def test_exact_strategy_uniform_small():
@@ -187,7 +188,7 @@ def test_line_laws_are_memoised_on_the_scheme(monkeypatch):
 
         monkeypatch.setattr(integer_sampler, name, counted)
     t = MaskedTable.from_margins([10, 56, 13], [20, 14, 18, 27])
-    scheme = column_parameters(t.c_res, [0] * 4, 3, "integer")
+    scheme = column_parameters(t.c_res, [0] * 4, 3)
     first = [approx_bit_weight(0, 0, k, t, scheme) for k in (0, 1)]
     # the two candidates share the laws of columns 1..3; only column 0's
     # residual differs between them
@@ -197,7 +198,7 @@ def test_line_laws_are_memoised_on_the_scheme(monkeypatch):
     again = [approx_bit_weight(0, 0, k, t, scheme) for k in (0, 1)]
     assert again == first and dict(calls) == misses
     # a fresh scheme with the same parameters starts empty and agrees
-    fresh = column_parameters(t.c_res, [0] * 4, 3, "integer")
+    fresh = column_parameters(t.c_res, [0] * 4, 3)
     assert not fresh.cell_laws
     assert [approx_bit_weight(0, 0, k, t, fresh) for k in (0, 1)] == first
 
@@ -224,6 +225,21 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text())
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not asserts, (path.name, asserts)
+
+
+def test_package_imports_no_private_names_across_modules():
+    # a module's underscore names are its own; others go through public API
+    src = Path(bittables.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        private = [
+            (node.lineno, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert not private, (path.name, private)
 
 
 _OPTIMIZE_DRAWS = """

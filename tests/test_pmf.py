@@ -3,22 +3,24 @@ import pytest
 
 from bittables.errors import ConditioningError
 from bittables.pmf import (
-    ColumnParamScheme,
     DiscretePMF,
     column_parameters,
-    conditioned_cell_marginal,
     conditioned_cell_pmf,
     convolve_truncated,
     geometric_dist,
     geometric_pmf,
     mixed_column_sum_pmf,
     negative_binomial_dist,
-    negative_binomial_pmf,
     poisson_binomial_pmf,
     poisson_binomial_point,
 )
 
-from oracles import conditioned_cell_masses_loop, nb_pmf, poisson_binomial_convolve
+from oracles import (
+    conditioned_cell_marginal,
+    conditioned_cell_masses_loop,
+    nb_pmf,
+    poisson_binomial_convolve,
+)
 
 
 def test_geometric_pmf_closed_form():
@@ -47,8 +49,9 @@ def test_geometric_bit_split_identity():
 def test_negative_binomial_matches_closed_form():
     for m in range(5):
         for q in (0.2, 0.7):
+            d = negative_binomial_dist(m, q, 9)
             for k in range(10):
-                assert abs(negative_binomial_pmf(m, q, k) - nb_pmf(m, q, k)) < 1e-13
+                assert abs(d.prob(k) - nb_pmf(m, q, k)) < 1e-13
 
 
 def test_negative_binomial_dist_recurrence_consistent():
@@ -169,22 +172,16 @@ def test_convolve_truncated_matches_numpy():
 
 def test_column_parameters_expectations():
     # integer: open-cell geometric sum mean equals the column target
-    scheme = column_parameters([4, 0, 2], [1, 0, 0], 3, "integer")
-    assert scheme.kind == "integer"
+    scheme = column_parameters([4, 0, 2], [1, 0, 0], 3)
     open_cells = np.array([2, 3, 3])
     for j, cj in enumerate([4, 0, 2]):
         qj = scheme.q[j]
         mean = open_cells[j] * qj / (1 - qj) if qj > 0 else 0.0
         assert abs(mean - cj) < 1e-12
-    # binary: per-cell mean c/open
-    sb = column_parameters([2, 1], [0, 1], 3, "binary")
-    assert np.allclose(sb.p, [2 / 3, 1 / 2])
     with pytest.raises(ValueError):
-        column_parameters([4], [0], 3, "binary")  # sum exceeds open cells
+        column_parameters([1], [3], 3)  # no open cells left
     with pytest.raises(ValueError):
-        column_parameters([1], [3], 3, "integer")  # no open cells left
-    with pytest.raises(ValueError):
-        ColumnParamScheme(kind="integer", h=np.zeros(1))
+        column_parameters([1, 1], [0], 3)  # shapes differ
 
 
 def test_pmf_container_basics():
