@@ -10,7 +10,7 @@ Only the exact table strategies and the partition samplers are uniform; the
 approximate strategies and the Latin cascade are biased.
 """
 
-from .binary_sampler import BinaryStrategy, full_line_weight, sample_binary_table
+from .binary_sampler import BinaryStrategy, sample_binary_table
 from .counting import (
     CountOracle,
     count_binary_tables,
@@ -30,20 +30,8 @@ from .errors import (
     InfeasibleError,
     OracleLimitError,
 )
-from .integer_sampler import (
-    BitSamplerStrategy,
-    approx_bit_weight,
-    exact_bit_distribution,
-    sample_contingency_table,
-)
-from .latin import (
-    LatinSquare,
-    RestartPolicy,
-    build_level_plan,
-    level_class_targets,
-    parity_levels,
-    sample_latin_square,
-)
+from .integer_sampler import BitSamplerStrategy, sample_contingency_table
+from .latin import LatinSquare, RestartPolicy, sample_latin_square
 from .partitions import (
     Partition,
     distinct_partition_counts,
@@ -52,17 +40,7 @@ from .partitions import (
     sample_distinct_partition,
     sample_partition,
 )
-from .pmf import (
-    ColumnParamScheme,
-    DiscretePMF,
-    column_parameters,
-    conditioned_cell_pmf,
-    geometric_dist,
-    mixed_column_sum_pmf,
-    negative_binomial_dist,
-    poisson_binomial_pmf,
-    poisson_binomial_point,
-)
+from .pmf import poisson_binomial_pmf
 from .seeding import batch_rng
 from .stats import UniformityReport, chi_square_threshold, chi_square_uniformity
 from .table import (
@@ -81,12 +59,10 @@ __all__ = [
     "BinaryStrategy",
     "BitSamplerStrategy",
     "BitTablesError",
-    "ColumnParamScheme",
     "ConditioningError",
     "ContradictionError",
     "CountOracle",
     "DeadStateError",
-    "DiscretePMF",
     "InfeasibleError",
     "LatinSquare",
     "MaskedTable",
@@ -95,13 +71,9 @@ __all__ = [
     "RestartPolicy",
     "SamplerDiagnostics",
     "UniformityReport",
-    "approx_bit_weight",
     "batch_rng",
-    "build_level_plan",
     "chi_square_threshold",
     "chi_square_uniformity",
-    "column_parameters",
-    "conditioned_cell_pmf",
     "count_binary_tables",
     "count_integer_tables",
     "deterministic_fill",
@@ -112,17 +84,9 @@ __all__ = [
     "enumerate_integer_tables",
     "enumerate_latin_squares",
     "enumerate_partitions",
-    "exact_bit_distribution",
-    "full_line_weight",
-    "geometric_dist",
     "iter_latin_squares",
-    "level_class_targets",
-    "mixed_column_sum_pmf",
-    "negative_binomial_dist",
-    "parity_levels",
     "partition_counts",
     "poisson_binomial_pmf",
-    "poisson_binomial_point",
     "sample_binary_table",
     "sample_contingency_table",
     "sample_distinct_partition",

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import CountOracle, shared_oracle
-from .diagnostics import SamplerDiagnostics, choose_bit
-from .errors import ContradictionError, DeadStateError, InfeasibleError
+from .diagnostics import SamplerDiagnostics, choose_bit, run_with_restarts
+from .errors import ContradictionError, InfeasibleError
 from .pmf import poisson_binomial_point
 from .table import MaskedTable, binary_feasible, deterministic_fill
 
@@ -129,8 +129,9 @@ def sample_binary_table(
     The draw is uniform under the "exact" strategy only; "full-line" draws
     are biased (ROADMAP.md tabulates the measured bias).  Returns
     (entries, diagnostics).  Raises InfeasibleError when no binary
-    table fits the instance at all, and DeadStateError when the approximate
-    weights exhaust `max_restarts` restarts.
+    table fits the instance at all, DeadStateError when the approximate
+    weights exhaust `max_restarts` restarts, and ValueError when
+    `max_restarts` is negative.
     """
     strategy = strategy if strategy is not None else BinaryStrategy()
     rng = rng if rng is not None else np.random.default_rng(seed)
@@ -146,21 +147,18 @@ def sample_binary_table(
         raise InfeasibleError("no binary table matches the margins and mask")
     p_static = None if strategy.refresh else _refresh_params(base)
     diag = SamplerDiagnostics()
-    budget = max_restarts if strategy.kind != "exact" else 0
-    for attempt in range(budget + 1):
-        try:
-            t = deterministic_fill([], base, mode="binary").table
-            for j in range(t.n):
-                for i in range(t.m):
-                    if t.mask[i, j]:
-                        continue
-                    bit, fr = _entry_decision(i, j, t, strategy, p_static, oracle, rng, diag)
-                    t = fr.table
-            if not t.is_complete() or t.r_res.any() or t.c_res.any():
-                raise ContradictionError("scan ended with open cells or residual margins")
-            return t.entries.copy(), diag
-        except DeadStateError as e:
-            diag.dead_states += 1
-            if attempt == budget:
-                raise DeadStateError(str(e), diagnostics=diag) from e
-            diag.restarts += 1
+
+    def attempt():
+        t = deterministic_fill([], base, mode="binary").table
+        for j in range(t.n):
+            for i in range(t.m):
+                if t.mask[i, j]:
+                    continue
+                _, fr = _entry_decision(i, j, t, strategy, p_static, oracle, rng, diag)
+                t = fr.table
+        if not t.is_complete() or t.r_res.any() or t.c_res.any():
+            raise ContradictionError("scan ended with open cells or residual margins")
+        return t.entries.copy()
+
+    entries = run_with_restarts(attempt, max_restarts, diag, strategy.kind != "exact")
+    return entries, diag

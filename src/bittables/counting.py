@@ -38,14 +38,13 @@ def _colmasks(mask, m: int, n: int) -> tuple[int, ...]:
     a = np.asarray(mask, dtype=bool)
     if a.shape != (m, n):
         raise ValueError(f"mask shape {a.shape} does not match ({m}, {n})")
-    out = []
-    for j in range(n):
-        bits = 0
-        for i in range(m):
-            if a[i, j]:
-                bits |= 1 << i
-        out.append(bits)
-    return tuple(out)
+    # row i of column j becomes bit i, exact for any m: rows pack little-endian
+    # into bytes, and a column's bytes join little-endian.  Up to 8 rows a
+    # column is one byte, read off directly, so small masks stay cheap.
+    packed = np.packbits(a, axis=0, bitorder="little")
+    if len(packed) == 1:
+        return tuple(packed[0].tolist())
+    return tuple(int.from_bytes(col.tobytes(), "little") for col in packed.T)
 
 
 @dataclass(frozen=True)
@@ -177,51 +176,56 @@ def _suffix_symmetric(q: CountQuery, m: int) -> list:
     return out
 
 
+def _columns(q: CountQuery, j: int, rho: tuple) -> list:
+    """Residual row sums left by every feasible column j under residuals `rho`.
+
+    Column j places q.c[j] in all: nothing under w, even values under o, at
+    most 1 per binary cell.  A branch stops as soon as the rows below it
+    cannot take what the column still needs.
+    """
+    m = len(rho)
+    w, o = q.w[j], q.o[j]
+    binary = q.kind == "binary"
+    caps = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        avail = 0 if (w >> i) & 1 else (1 if binary else rho[i])
+        caps[i] = caps[i + 1] + min(avail, rho[i])
+    out = []
+    nxt = list(rho)
+
+    def go(i: int, remaining: int):
+        if remaining > caps[i]:
+            return
+        if i == m:
+            out.append(tuple(nxt))
+            return
+        if (w >> i) & 1:
+            go(i + 1, remaining)
+            return
+        top = min(rho[i], remaining, 1 if binary else remaining)
+        step = 2 if (o >> i) & 1 else 1
+        for v in range(0, top + 1, step):
+            nxt[i] = rho[i] - v
+            go(i + 1, remaining - v)
+        nxt[i] = rho[i]
+
+    go(0, q.c[j])
+    return out
+
+
 def _count_rec(q: CountQuery) -> int:
     m, n = len(q.r), len(q.c)
-    if m == 0 or n == 0:
-        return 1  # empty table; margins are all zero here (balanced, nonnegative)
     sym = _suffix_symmetric(q, m)
-    binary = q.kind == "binary"
     memo: dict = {}
 
     def rec(j: int, rho: tuple) -> int:
         if j == n:
-            return 1
+            return 1  # margins are balanced, so every residual is zero here
         key = (j, tuple(sorted(rho)) if sym[j] else rho)
         cached = memo.get(key)
-        if cached is not None:
-            return cached
-        w, o = q.w[j], q.o[j]
-        # suffix capacity for pruning the column enumeration
-        caps = [0] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            avail = 0 if (w >> i) & 1 else (1 if binary else rho[i])
-            caps[i] = caps[i + 1] + min(avail, rho[i])
-        total = 0
-        xs = [0] * m
-
-        def go(i: int, remaining: int):
-            nonlocal total
-            if remaining > caps[i]:
-                return
-            if i == m:
-                total += rec(j + 1, tuple(rho[t] - xs[t] for t in range(m)))
-                return
-            if (w >> i) & 1:
-                xs[i] = 0
-                go(i + 1, remaining)
-                return
-            top = min(rho[i], remaining, 1 if binary else remaining)
-            step = 2 if (o >> i) & 1 else 1
-            for v in range(0, top + 1, step):
-                xs[i] = v
-                go(i + 1, remaining - v)
-            xs[i] = 0
-
-        go(0, q.c[j])
-        memo[key] = total
-        return total
+        if cached is None:
+            cached = memo[key] = sum(rec(j + 1, nxt) for nxt in _columns(q, j, rho))
+        return cached
 
     return rec(0, q.r)
 
@@ -231,37 +235,17 @@ def _enumerate_rec(q: CountQuery):
     m, n = len(q.r), len(q.c)
     if sum(q.r) != sum(q.c) or min(q.r, default=0) < 0 or min(q.c, default=0) < 0:
         return
-    binary = q.kind == "binary"
     cols: list = [None] * n
 
-    def columns(j: int, rho: tuple):
+    def walk(j: int, rho: tuple):
         if j == n:
-            if all(x == 0 for x in rho):
-                yield tuple(tuple(cols[t][i] for t in range(n)) for i in range(m))
+            yield tuple(tuple(cols[t][i] for t in range(n)) for i in range(m))
             return
-        w, o = q.w[j], q.o[j]
-        xs = [0] * m
+        for nxt in _columns(q, j, rho):
+            cols[j] = tuple(a - b for a, b in zip(rho, nxt))
+            yield from walk(j + 1, nxt)
 
-        def go(i: int, remaining: int):
-            if i == m:
-                if remaining == 0:
-                    cols[j] = tuple(xs)
-                    yield from columns(j + 1, tuple(rho[t] - xs[t] for t in range(m)))
-                return
-            if (w >> i) & 1:
-                xs[i] = 0
-                yield from go(i + 1, remaining)
-                return
-            top = min(rho[i], remaining, 1 if binary else remaining)
-            step = 2 if (o >> i) & 1 else 1
-            for v in range(0, top + 1, step):
-                xs[i] = v
-                yield from go(i + 1, remaining - v)
-            xs[i] = 0
-
-        yield from go(0, q.c[j])
-
-    yield from columns(0, q.r)
+    yield from walk(0, q.r)
 
 
 def _iter_latin(n: int):

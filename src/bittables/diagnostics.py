@@ -1,4 +1,5 @@
-"""Shared bookkeeping for sampler runs, and the one bit draw they all make."""
+"""Shared bookkeeping for sampler runs: the one bit draw they all make and the
+restart loop of the table samplers."""
 
 from __future__ import annotations
 
@@ -60,3 +61,24 @@ def choose_bit(w0, w1, rng, diag: SamplerDiagnostics, cell, level=None) -> int:
         return 1
     diag.bits_consumed += 1
     return 0 if rng.random() <= w0 / (w0 + w1) else 1
+
+
+def run_with_restarts(attempt, max_restarts: int, diag: SamplerDiagnostics, restartable: bool):
+    """Return `attempt()`, calling it again after each DeadStateError.
+
+    A restartable sampler gets up to `max_restarts` further attempts, any
+    other none.  Every dead state and every restart is counted in `diag`;
+    the last dead state is raised with `diag` attached.  A negative
+    `max_restarts` raises ValueError.
+    """
+    if max_restarts < 0:
+        raise ValueError(f"max_restarts must be nonnegative, got {max_restarts}")
+    budget = max_restarts if restartable else 0
+    for tries in range(budget + 1):
+        try:
+            return attempt()
+        except DeadStateError as e:
+            diag.dead_states += 1
+            if tries == budget:
+                raise DeadStateError(str(e), diagnostics=diag) from e
+            diag.restarts += 1

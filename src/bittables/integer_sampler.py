@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import CountOracle, shared_oracle
-from .diagnostics import SamplerDiagnostics, choose_bit
+from .diagnostics import SamplerDiagnostics, choose_bit, run_with_restarts
 from .errors import ConditioningError, ContradictionError, DeadStateError, InfeasibleError
 from .pmf import ColumnParamScheme, column_parameters, conditioned_cell_pmf, mixed_column_sum_pmf
 from .table import MaskedTable, deterministic_fill
@@ -89,7 +89,8 @@ def _column_factor(scheme: ColumnParamScheme, q, n_even: int, n_plain: int, c: i
     key = (float(q), n_even, n_plain, c)
     factor = scheme.column_factors.get(key)
     if factor is None:
-        factor = mixed_column_sum_pmf(q, n_even, n_plain, c).prob(c)
+        law = mixed_column_sum_pmf(q, n_even, n_plain, c)
+        factor = float(law[c]) if c < len(law) else 0.0
         scheme.column_factors[key] = factor
     return factor
 
@@ -101,7 +102,7 @@ def _cell_law(scheme: ColumnParamScheme, q, cell_even: bool, rest_even: int, res
     if key in scheme.cell_laws:
         return scheme.cell_laws[key]
     try:
-        masses = conditioned_cell_pmf(cell_even, q, rest_even, rest_plain, c).masses
+        masses = conditioned_cell_pmf(cell_even, q, rest_even, rest_plain, c)
         masses.flags.writeable = False
     except ConditioningError:
         masses = None
@@ -307,7 +308,8 @@ def sample_contingency_table(
     cells; `scan` is "column" (default) or "row" for the per-level traversal
     order; `max_restarts` bounds dead-state restarts of the approximate
     strategy.  Raises InfeasibleError when propagation proves the margins
-    inconsistent and DeadStateError when the restart budget runs out.
+    inconsistent, DeadStateError when the restart budget runs out and
+    ValueError when `max_restarts` is negative.
     """
     strategy = strategy if strategy is not None else BitSamplerStrategy()
     if scan not in ("column", "row"):
@@ -332,16 +334,10 @@ def sample_contingency_table(
     levels = top.bit_length()
     diag = SamplerDiagnostics()
     diag.levels = levels
-    budget = max_restarts if strategy.kind == "approx" else 0
-    for attempt in range(budget + 1):
-        try:
-            entries = _run_levels(pre, levels, strategy, oracle, rng, diag)
-            break
-        except DeadStateError as e:
-            diag.dead_states += 1
-            if attempt == budget:
-                raise DeadStateError(str(e), diagnostics=diag) from e
-            diag.restarts += 1
+    entries = run_with_restarts(
+        lambda: _run_levels(pre, levels, strategy, oracle, rng, diag),
+        max_restarts, diag, strategy.kind == "approx",
+    )
     if retain_bit_levels:
         diag.bit_levels = [((entries >> b) & 1).astype(np.int64) for b in range(levels)]
     if transposed:

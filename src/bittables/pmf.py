@@ -1,9 +1,10 @@
 """Discrete probability mass computations used by the table samplers.
 
-Everything here works with plain floats and small numpy arrays.  Distributions
-with unbounded support (geometric, negative binomial, and sums built from
-them) are materialised as truncated mass vectors; the `truncated` flag on
-`DiscretePMF` records whether tail mass was dropped.
+Everything here works with plain floats and small numpy arrays.  A law on
+{0, 1, ..} is a bare mass vector whose index k holds P(k); entries past its
+end are zero.  Distributions with unbounded support (geometric, negative
+binomial, and sums built from them) are cut at a cap and lose the mass
+past it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 from .errors import ConditioningError
 
 __all__ = [
-    "DiscretePMF",
     "ColumnParamScheme",
     "geometric_pmf",
     "geometric_dist",
@@ -24,58 +24,8 @@ __all__ = [
     "poisson_binomial_point",
     "mixed_column_sum_pmf",
     "conditioned_cell_pmf",
-    "convolve_truncated",
     "column_parameters",
 ]
-
-_MASS_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DiscretePMF:
-    """Mass vector for a distribution on a contiguous integer range.
-
-    `masses[i]` is the probability of `offset + i`.  When `truncated` is set
-    the vector is a prefix of an infinite-support law and the masses sum to
-    less than one.
-    """
-
-    offset: int
-    masses: np.ndarray
-    truncated: bool = False
-
-    def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
-        object.__setattr__(self, "masses", m)
-
-    def prob(self, k: int) -> float:
-        i = k - self.offset
-        if i < 0 or i >= len(self.masses):
-            return 0.0
-        return float(self.masses[i])
-
-    @property
-    def support_max(self) -> int:
-        return self.offset + len(self.masses) - 1
-
-    def total(self) -> float:
-        return float(self.masses.sum())
-
-    def validate(self) -> None:
-        """Check mass-vector invariants, raising ValueError on violation."""
-        if self.masses.ndim != 1:
-            raise ValueError("masses must be one-dimensional")
-        if len(self.masses) and (self.masses.min() < -_MASS_TOL or self.masses.max() > 1 + _MASS_TOL):
-            raise ValueError("masses outside [0, 1]")
-        s = self.total()
-        if s > 1 + _MASS_TOL:
-            raise ValueError(f"mass sum {s} exceeds 1")
-        if not self.truncated and abs(s - 1.0) > _MASS_TOL:
-            raise ValueError(f"complete pmf must sum to 1, got {s}")
-
-    @staticmethod
-    def point_mass(k: int) -> "DiscretePMF":
-        return DiscretePMF(offset=k, masses=np.array([1.0]))
 
 
 @dataclass(frozen=True)
@@ -107,26 +57,26 @@ def geometric_pmf(q: float, k: int) -> float:
     return (1.0 - q) * q**k
 
 
-def geometric_dist(q: float, cap: int) -> DiscretePMF:
+def geometric_dist(q: float, cap: int) -> np.ndarray:
     """Geometric(q) masses on {0..cap}; q = 0 degenerates to a point mass at 0."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if q == 0.0:
-        return DiscretePMF.point_mass(0)
+        return np.array([1.0])
     if not (0.0 < q < 1.0):
         raise ValueError(f"parameter must lie in [0, 1), got {q}")
     ks = np.arange(cap + 1)
-    return DiscretePMF(offset=0, masses=(1.0 - q) * q**ks, truncated=True)
+    return (1.0 - q) * q**ks
 
 
-def negative_binomial_dist(m: int, q: float, cap: int) -> DiscretePMF:
+def negative_binomial_dist(m: int, q: float, cap: int) -> np.ndarray:
     """Sum of m geometric(q) variables, truncated to {0..cap}."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if m < 0:
         raise ValueError("need m >= 0")
     if m == 0 or q == 0.0:
-        return DiscretePMF.point_mass(0)
+        return np.array([1.0])
     if not (0.0 < q < 1.0):
         raise ValueError(f"parameter must lie in [0, 1), got {q}")
     # stable forward recurrence: f(0) = (1-q)^m, f(k+1) = f(k) * q * (m+k)/(k+1)
@@ -134,7 +84,7 @@ def negative_binomial_dist(m: int, q: float, cap: int) -> DiscretePMF:
     masses[0] = (1.0 - q) ** m
     for k in range(cap):
         masses[k + 1] = masses[k] * q * (m + k) / (k + 1)
-    return DiscretePMF(offset=0, masses=masses, truncated=True)
+    return masses
 
 
 _ROOT_CACHE: dict[int, np.ndarray] = {}
@@ -180,16 +130,15 @@ def poisson_binomial_pmf(p, k: int, js=None) -> float:
     return poisson_binomial_point(ps, k)
 
 
-def _stretch_even(pmf: DiscretePMF, cap: int) -> DiscretePMF:
-    """Reindex a pmf on {0..M} to live on even values {0, 2, ..} up to cap."""
+def _stretch_even(masses: np.ndarray, cap: int) -> np.ndarray:
+    """Reindex masses on {0..M} to live on even values {0, 2, ..} up to cap."""
     out = np.zeros(cap + 1)
-    top = min(pmf.support_max, cap // 2)
-    out[0 : 2 * top + 1 : 2] = pmf.masses[: top + 1]
-    dropped = pmf.truncated or pmf.support_max > cap // 2
-    return DiscretePMF(offset=0, masses=out, truncated=dropped)
+    top = min(len(masses) - 1, cap // 2)
+    out[0 : 2 * top + 1 : 2] = masses[: top + 1]
+    return out
 
 
-def mixed_column_sum_pmf(q: float, n_even: int, n_plain: int, cap: int) -> DiscretePMF:
+def mixed_column_sum_pmf(q: float, n_even: int, n_plain: int, cap: int) -> np.ndarray:
     """Law of a column-remainder sum, truncated to {0..cap}.
 
     The sum has `n_even` cells whose remaining value is twice a
@@ -203,47 +152,32 @@ def mixed_column_sum_pmf(q: float, n_even: int, n_plain: int, cap: int) -> Discr
         raise ValueError("cap must be nonnegative")
     even_part = _stretch_even(negative_binomial_dist(n_even, q * q, cap // 2), cap)
     plain_part = negative_binomial_dist(n_plain, q, cap)
-    return convolve_truncated(even_part, plain_part, cap)
+    return np.convolve(even_part, plain_part)[: cap + 1]
 
 
-def convolve_truncated(a: DiscretePMF, b: DiscretePMF, cap: int) -> DiscretePMF:
-    """PMF of the independent sum of `a` and `b`, masses above cap dropped."""
-    offset = a.offset + b.offset
-    if offset > cap:
-        return DiscretePMF(offset=offset, masses=np.zeros(0), truncated=True)
-    conv = np.convolve(a.masses, b.masses)
-    keep = cap - offset + 1
-    dropped = len(conv) > keep
-    return DiscretePMF(
-        offset=offset,
-        masses=conv[:keep],
-        truncated=a.truncated or b.truncated or dropped,
-    )
-
-
-def _window(pmf: DiscretePMF, cap: int) -> np.ndarray:
-    """Masses of `pmf` at 0..cap, zero outside its support (`prob` as a vector)."""
+def _window(masses: np.ndarray, cap: int) -> np.ndarray:
+    """`masses` at 0..cap, zero past its end."""
     out = np.zeros(cap + 1)
-    lo, hi = max(pmf.offset, 0), min(pmf.support_max, cap)
-    if lo <= hi:
-        out[lo : hi + 1] = pmf.masses[lo - pmf.offset : hi - pmf.offset + 1]
+    top = min(len(masses), cap + 1)
+    out[:top] = masses[:top]
     return out
 
 
-def _even_cell_base(q: float, cap: int) -> DiscretePMF:
+def _even_cell_base(q: float, cap: int) -> np.ndarray:
     """Law of twice a geometric(q**2) variable, truncated to {0..cap}."""
     return _stretch_even(negative_binomial_dist(1, q * q, cap // 2), cap)
 
 
 def conditioned_cell_pmf(
     even_cell: bool, q: float, rest_even: int, rest_plain: int, c_res: int
-) -> DiscretePMF:
+) -> np.ndarray:
     """Law of one column cell conditioned on its column summing to c_res.
 
     The cell is geometric(q) (plain) or twice-geometric(q**2) (even class);
     the rest of the column contributes `rest_even` even-class and
-    `rest_plain` plain cells.  Raises ConditioningError when the column sum
-    c_res has probability zero under the joint model.
+    `rest_plain` plain cells.  Returns the masses on {0..c_res}.  Raises
+    ConditioningError when the column sum c_res has probability zero under
+    the joint model.
     """
     if c_res < 0:
         raise ConditioningError(f"column residual {c_res} is negative")
@@ -252,7 +186,7 @@ def conditioned_cell_pmf(
     total = mixed_column_sum_pmf(
         q, rest_even + (1 if even_cell else 0), rest_plain + (0 if even_cell else 1), c_res
     )
-    denom = total.prob(c_res)
+    denom = total[c_res] if c_res < len(total) else 0.0
     if denom <= 0.0:
         raise ConditioningError(
             f"column sum {c_res} unreachable for q={q}, "
@@ -260,7 +194,7 @@ def conditioned_cell_pmf(
         )
     # the same multiply per x, then the same divide, as a loop over x would do
     masses = _window(base, c_res) * _window(rest, c_res)[::-1]
-    return DiscretePMF(offset=0, masses=masses / denom, truncated=False)
+    return masses / denom
 
 
 def column_parameters(c, h, m: int) -> ColumnParamScheme:

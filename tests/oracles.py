@@ -144,6 +144,11 @@ def poisson_binomial_convolve(ps, k):
     return float(probs[k])
 
 
+def mass_at(masses, k):
+    """P(k) from a mass vector indexed from 0; zero outside it."""
+    return float(masses[k]) if 0 <= k < len(masses) else 0.0
+
+
 def nb_pmf(m, q, k):
     """Negative binomial mass from the closed form, for cross-checks."""
     if m == 0:
@@ -167,10 +172,10 @@ def conditioned_cell_masses_loop(even_cell, q, rest_even, rest_plain, c_res):
     total = mixed_column_sum_pmf(
         q, rest_even + (1 if even_cell else 0), rest_plain + (0 if even_cell else 1), c_res
     )
-    denom = total.prob(c_res)
+    denom = mass_at(total, c_res)
     if denom <= 0.0:
         raise ConditioningError(f"column sum {c_res} unreachable")
-    masses = np.array([base.prob(x) * rest.prob(c_res - x) for x in range(c_res + 1)])
+    masses = np.array([mass_at(base, x) * mass_at(rest, c_res - x) for x in range(c_res + 1)])
     return masses / denom
 
 
@@ -182,4 +187,20 @@ def conditioned_cell_marginal(cell_class, q, rest_even, rest_plain, c_res, x):
         raise ValueError(f"unknown cell class {cell_class!r}")
     if x < 0 or x > c_res:
         return 0.0
-    return conditioned_cell_pmf(cell_class == "even", q, rest_even, rest_plain, c_res).prob(x)
+    return mass_at(conditioned_cell_pmf(cell_class == "even", q, rest_even, rest_plain, c_res), x)
+
+
+def colmasks_loop(mask, m, n):
+    """Per-column row bitmasks of a boolean (m, n) mask, one cell at a time:
+    the reference for `counting._colmasks`."""
+    if mask is None:
+        return (0,) * n
+    a = np.asarray(mask, dtype=bool)
+    out = []
+    for j in range(n):
+        bits = 0
+        for i in range(m):
+            if a[i, j]:
+                bits |= 1 << i
+        out.append(bits)
+    return tuple(out)

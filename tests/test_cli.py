@@ -189,6 +189,17 @@ def test_dead_state_exit_two(capsys):
     assert json.loads(out)["valid"] is True
 
 
+def test_negative_restart_budget_exits_one(capsys, monkeypatch):
+    argv = ["sample-ct", "--rows", "2,2", "--cols", "2,2"]
+    assert main(argv + ["--max-restarts", "-1"]) == 1
+    assert "error: max_restarts must be nonnegative" in capsys.readouterr().err
+    monkeypatch.setenv("BITTABLES_RESTART_BUDGET", "-1")
+    for cmd in (argv, ["sample-binary", "--rows", "1,1", "--cols", "1,1"]):
+        assert main(cmd) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: max_restarts" in captured.err
+
+
 def test_oracle_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BITTABLES_MAX_LATIN_ORDER", "3")
     assert main(["count", "--latin", "--n", "4"]) == 1

@@ -5,6 +5,8 @@ import pytest
 
 from bittables.counting import (
     CountOracle,
+    CountQuery,
+    _colmasks,
     count_binary_tables,
     count_integer_tables,
     enumerate_binary_tables,
@@ -136,3 +138,23 @@ def test_query_cache_stability():
     b = oracle.count_binary_tables([2, 1], [1, 1, 1])
     assert a == b == oracles.count_binary([2, 1], [1, 1, 1])
     assert shared_oracle() is shared_oracle()
+
+
+def test_colmasks_match_cell_loop():
+    # bit i of column j is row i, for any m: the oracle's limits can be
+    # raised past 63 rows, so keys must not overflow a machine word
+    rng = np.random.default_rng(61)
+    for m in (1, 7, 8, 9, 70):
+        n = int(rng.integers(1, 6))
+        for density in (0.0, 0.3, 1.0):
+            zero = rng.random((m, n)) < density
+            even = rng.random((m, n)) < 0.5
+            assert _colmasks(zero, m, n) == oracles.colmasks_loop(zero, m, n)
+            r, c = [1] * m, [0] * n
+            key = CountQuery("integer", tuple(r), tuple(c),
+                             oracles.colmasks_loop(zero, m, n), oracles.colmasks_loop(even, m, n))
+            assert CountQuery.build("integer", r, c, zero, even) == key
+    assert _colmasks(None, 3, 2) == _colmasks(np.zeros((0, 2), dtype=bool), 0, 2) == (0, 0)
+    assert _colmasks(np.ones((70, 1), dtype=bool), 70, 1) == ((1 << 70) - 1,)
+    with pytest.raises(ValueError):
+        _colmasks(np.zeros((2, 3), dtype=bool), 3, 2)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import bittables
 from bittables import integer_sampler
 from bittables.binary_sampler import sample_binary_table
 from bittables.cli import main
-from bittables.errors import InfeasibleError
+from bittables.errors import DeadStateError, InfeasibleError
 from bittables.integer_sampler import (
     BitSamplerStrategy,
     approx_bit_weight,
@@ -218,6 +219,18 @@ def test_odd_residual_restarts_instead_of_failing(capsys):
     assert all(json.loads(line)["valid"] for line in lines)
 
 
+def test_negative_restart_budget_raises_value_error():
+    for sampler in (sample_contingency_table, sample_binary_table):
+        with pytest.raises(ValueError, match="max_restarts"):
+            sampler([2, 2], [2, 2], max_restarts=-1, rng=batch_rng(0, 0))
+    # a zero budget still allows the first attempt, and its dead state counts
+    r = c = [30] * 6
+    with pytest.raises(DeadStateError) as exc:
+        sample_contingency_table(r, c, rng=batch_rng(7, 2), max_restarts=0)
+    assert exc.value.diagnostics.dead_states == 1
+    assert exc.value.diagnostics.restarts == 0
+
+
 def test_package_has_no_assert_statements():
     # invariants are typed errors, so `python -O` cannot strip them
     src = Path(bittables.__file__).parent
@@ -240,6 +253,38 @@ def test_package_imports_no_private_names_across_modules():
             if alias.name.startswith("_")
         ]
         assert not private, (path.name, private)
+
+
+DEMOTED_NAMES = {
+    "pmf": ["ColumnParamScheme", "column_parameters", "conditioned_cell_pmf", "geometric_dist",
+            "mixed_column_sum_pmf", "negative_binomial_dist", "poisson_binomial_point"],
+    "integer_sampler": ["approx_bit_weight", "exact_bit_distribution"],
+    "binary_sampler": ["full_line_weight"],
+    "latin": ["build_level_plan", "level_class_targets", "parity_levels"],
+}
+
+
+def test_package_surface_is_its_all():
+    # every name the package imports is exported, and every export resolves
+    tree = ast.parse(Path(bittables.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported == set(bittables.__all__)
+    assert len(bittables.__all__) == 40
+    for name in bittables.__all__:
+        assert getattr(bittables, name) is not None, name
+    # kernel and decision helpers live in their modules, not in the package
+    assert sum(len(names) for names in DEMOTED_NAMES.values()) == 13
+    for module, names in DEMOTED_NAMES.items():
+        mod = importlib.import_module(f"bittables.{module}")
+        for name in names:
+            assert name not in bittables.__all__, name
+            assert callable(getattr(mod, name)), (module, name)
+    assert not hasattr(bittables.pmf, "DiscretePMF")
 
 
 _OPTIMIZE_DRAWS = """
