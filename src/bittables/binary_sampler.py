@@ -1,9 +1,9 @@
 """Entry-by-entry sampler for 0/1 tables with fixed margins.
 
-Cells are decided in column-major order.  Each candidate bit is trial-filled
-to propagate its forced consequences, then weighted either by exact
-completion counts or by the product of its proposal probability and a
-Poisson-binomial line weight; dead states restart the table.
+Cells are decided in column-major order on one table per attempt; dead states
+restart it.  Under "full-line" each candidate bit is filled in place, weighted
+by its proposal probability times a Poisson-binomial line weight, and
+retracted; "exact" weighs completion counts.  The chosen bit's fill is kept.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .counting import CountOracle, shared_oracle
 from .diagnostics import SamplerDiagnostics, choose_bit, run_with_restarts
 from .errors import ContradictionError, InfeasibleError
 from .pmf import poisson_binomial_point
-from .table import MaskedTable, binary_feasible, deterministic_fill
+from .table import MaskedTable, binary_feasible, deterministic_fill, fill_in_place
 
 __all__ = [
     "BinaryStrategy",
@@ -51,68 +51,79 @@ def _refresh_params(t: MaskedTable) -> np.ndarray:
     The one parameter rule: refreshed at every decision, or taken once from
     the initial instance when `BinaryStrategy.refresh` is off.
     """
-    open_cols = t.m - np.count_nonzero(t.mask, axis=0)
-    p = np.zeros(t.n)
-    pos = open_cols > 0
-    p[pos] = t.c_res[pos] / open_cols[pos]
+    p = np.divide(t.c_res, t.open_c, out=np.zeros(t.n), where=t.open_c > 0)
     return np.clip(p, 0.0, 1.0)
 
 
-def full_line_weight(i, j, k, t: MaskedTable, p) -> float:
+def _point(ps: np.ndarray, k: int, memo) -> float:
+    """`poisson_binomial_point(ps, k)`, kept in `memo` (if given) under the exact input."""
+    if memo is None:
+        return poisson_binomial_point(ps, k)
+    key = (ps.tobytes(), k)
+    if key not in memo:
+        memo[key] = poisson_binomial_point(ps, k)
+    return memo[key]
+
+
+def full_line_weight(i, j, k, t: MaskedTable, p, memo=None) -> float:
     """Rejection weight for bit k at (i, j) over its full row and column.
 
     The weight is the probability that the open cells of row i and column j,
     the cell itself excluded, exactly absorb the residual margins net of k,
     each cell an independent Bernoulli with its column's parameter p[l].
-    Unreachable residuals give 0.0.
+    Unreachable residuals give 0.0.  `memo`, one dict per draw, caches the factors.
     """
     r_i = int(t.r_res[i]) - k
     c_j = int(t.c_res[j]) - k
     if r_i < 0 or c_j < 0:
         return 0.0
-    row = [l for l in t.open_cols_in_row(i) if l != j]
-    col = [s for s in t.open_rows_in_col(j) if s != i]
-    if r_i > len(row) or c_j > len(col):
+    row = np.flatnonzero(~t.mask[i])
+    row = row[row != j]
+    n_col = int(t.open_c[j]) - (not t.mask[i, j])
+    if r_i > len(row) or c_j > n_col:
         return 0.0
-    row_factor = poisson_binomial_point(np.array([p[l] for l in row], dtype=float), r_i)
-    col_factor = poisson_binomial_point(np.full(len(col), p[j], dtype=float), c_j)
+    row_factor = _point(np.asarray(p, dtype=float)[row], r_i, memo)
+    col_factor = _point(np.full(n_col, p[j], dtype=float), c_j, memo)
     return float(row_factor * col_factor)
 
 
-def _entry_decision(i, j, t, strategy, p_static, oracle, rng, diag):
-    """Decide the bit at open cell (i, j); returns (bit, fill to commit).
+def _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag):
+    """Decide the bit at open cell (i, j) and commit its forced fill on `t`.
 
-    Exact: weights are completion counts.  Full-line: each candidate is
-    trial-filled and weighted by the proposal probability of the cells it
-    forces times its line weight; a candidate that contradicts weighs 0.
+    Exact: weights are completion counts.  Full-line: each candidate is filled
+    in place, weighted by the proposal probability of the cells it forces
+    times its line weight, and retracted; one that contradicts weighs 0.
     """
     if strategy.kind == "exact":
         fz = t.mask.copy()
         fz[i, j] = True
         counts = []
         for k in (0, 1):
-            rr = t.r_res.copy()
-            cc = t.c_res.copy()
+            rr, cc = t.r_res.copy(), t.c_res.copy()
             rr[i] -= k
             cc[j] -= k
             counts.append(oracle.count_binary_tables(rr, cc, fz))
         bit = choose_bit(counts[0], counts[1], rng, diag, (i, j))
-        return bit, deterministic_fill([(i, j, bit)], t, mode="binary", assume_fixed_point=True)
+        fill_in_place([(i, j, bit)], t, "binary")
+        return bit
     p = _refresh_params(t) if strategy.refresh else p_static
     fills = [None, None]
     weights = [0.0, 0.0]
     for k in (0, 1):
         try:
-            fr = deterministic_fill([(i, j, k)], t, mode="binary", assume_fixed_point=True)
+            forced = fill_in_place([(i, j, k)], t, "binary")
         except ContradictionError:
             continue
         prod = 1.0
-        for s, l, v in fr.forced:
+        for s, l, v in forced:
             prod *= p[l] if v else (1.0 - p[l])
-        fills[k] = fr
-        weights[k] = prod * full_line_weight(i, j, 0, fr.table, p)
+        fills[k] = forced
+        weights[k] = prod * full_line_weight(i, j, 0, t, p, memo)
+        t.retract(forced)
     bit = choose_bit(weights[0], weights[1], rng, diag, (i, j))
-    return bit, fills[bit]
+    for s, l, v in fills[bit]:
+        t.finalize(s, l, v)
+    return bit
 
 
 def sample_binary_table(
@@ -146,16 +157,16 @@ def sample_binary_table(
     elif not binary_feasible(base.r_res, base.c_res, base.mask):
         raise InfeasibleError("no binary table matches the margins and mask")
     p_static = None if strategy.refresh else _refresh_params(base)
+    base = deterministic_fill([], base, mode="binary").table
+    memo: dict = {}
     diag = SamplerDiagnostics()
 
     def attempt():
-        t = deterministic_fill([], base, mode="binary").table
+        t = base.copy()
         for j in range(t.n):
             for i in range(t.m):
-                if t.mask[i, j]:
-                    continue
-                _, fr = _entry_decision(i, j, t, strategy, p_static, oracle, rng, diag)
-                t = fr.table
+                if not t.mask[i, j]:
+                    _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag)
         if not t.is_complete() or t.r_res.any() or t.c_res.any():
             raise ContradictionError("scan ended with open cells or residual margins")
         return t.entries.copy()

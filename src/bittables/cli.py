@@ -433,6 +433,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "samples", 0) < 0:
+            raise ValueError(f"samples must be nonnegative, got {args.samples}")
         return args.func(args, sys.stdout)
     except DeadStateError as e:
         print(f"dead state: {e}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Margin-constrained table state: masks, residuals, forced fills, validation."""
+"""Margin-constrained table state: masks, residuals, open counts, forced fills, validation."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ __all__ = [
     "MaskedTable",
     "FillResult",
     "deterministic_fill",
+    "fill_in_place",
     "validate_table",
     "binary_feasible",
     "table_to_json",
@@ -49,10 +50,11 @@ class MaskedTable:
 
     `mask[i, j]` is True once cell (i, j) is finalized (including cells
     forced to zero up front); `entries` holds finalized values and zeros
-    elsewhere.  `r_res`/`c_res` are the margins net of finalized cells.
+    elsewhere.  `r_res`/`c_res` are the margins net of finalized cells, and
+    `open_r`/`open_c` count the open cells of each row and column.
     """
 
-    __slots__ = ("m", "n", "entries", "mask", "r_res", "c_res")
+    __slots__ = ("m", "n", "entries", "mask", "r_res", "c_res", "open_r", "open_c")
 
     def __init__(self, entries, mask, r_res, c_res):
         self.entries = np.asarray(entries, dtype=np.int64)
@@ -60,6 +62,8 @@ class MaskedTable:
         self.r_res = np.asarray(r_res, dtype=np.int64)
         self.c_res = np.asarray(c_res, dtype=np.int64)
         self.m, self.n = self.entries.shape
+        self.open_r = self.n - np.count_nonzero(self.mask, axis=1)
+        self.open_c = self.m - np.count_nonzero(self.mask, axis=0)
 
     @classmethod
     def from_margins(cls, r, c, forced_zero=None) -> "MaskedTable":
@@ -74,19 +78,17 @@ class MaskedTable:
         return cls(np.zeros((m, n), dtype=np.int64), mask, np.array(spec.r), np.array(spec.c))
 
     def copy(self) -> "MaskedTable":
-        return MaskedTable(self.entries.copy(), self.mask.copy(), self.r_res.copy(), self.c_res.copy())
+        out = MaskedTable.__new__(MaskedTable)
+        out.m, out.n = self.m, self.n
+        for name in ("entries", "mask", "r_res", "c_res", "open_r", "open_c"):
+            setattr(out, name, getattr(self, name).copy())
+        return out
 
     def open_count_row(self, i: int) -> int:
-        return int(self.n - np.count_nonzero(self.mask[i]))
+        return int(self.open_r[i])
 
     def open_count_col(self, j: int) -> int:
-        return int(self.m - np.count_nonzero(self.mask[:, j]))
-
-    def open_cols_in_row(self, i: int) -> np.ndarray:
-        return np.flatnonzero(~self.mask[i])
-
-    def open_rows_in_col(self, j: int) -> np.ndarray:
-        return np.flatnonzero(~self.mask[:, j])
+        return int(self.open_c[j])
 
     def is_complete(self) -> bool:
         return bool(self.mask.all())
@@ -110,6 +112,18 @@ class MaskedTable:
         self.mask[i, j] = True
         self.r_res[i] -= value
         self.c_res[j] -= value
+        self.open_r[i] -= 1
+        self.open_c[j] -= 1
+
+    def retract(self, forced) -> None:
+        """Undo the assignments of a forced list, last one first."""
+        for i, j, value in reversed(forced):
+            self.entries[i, j] = 0
+            self.mask[i, j] = False
+            self.r_res[i] += value
+            self.c_res[j] += value
+            self.open_r[i] += 1
+            self.open_c[j] += 1
 
 
 @dataclass
@@ -160,47 +174,60 @@ def _fill_inplace(t: MaskedTable, seeds, mode: str, forced: list, rescan: bool =
         kind, idx = dirty.popleft()
         queued.discard((kind, idx))
         if kind == "r":
-            cells = [(idx, j) for j in np.flatnonzero(~t.mask[idx])]
-            res = int(t.r_res[idx])
+            res, n_open, line = int(t.r_res[idx]), int(t.open_r[idx]), t.mask[idx]
         else:
-            cells = [(i, idx) for i in np.flatnonzero(~t.mask[:, idx])]
-            res = int(t.c_res[idx])
-        if not cells:
+            res, n_open, line = int(t.c_res[idx]), int(t.open_c[idx]), t.mask[:, idx]
+        if n_open == 0:
             if res != 0:
                 raise ContradictionError(f"line {kind}{idx} has residual {res} and no open cells")
             continue
         if res == 0:
-            for i, j in cells:
-                commit(i, j, 0)
+            value = 0
         elif mode == "binary":
-            if res > len(cells):
+            if res > n_open:
                 raise ContradictionError(
-                    f"line {kind}{idx} needs {res} ones in {len(cells)} open cells"
+                    f"line {kind}{idx} needs {res} ones in {n_open} open cells"
                 )
-            if res == len(cells):
-                for i, j in cells:
-                    commit(i, j, 1)
+            if res < n_open:
+                continue
+            value = 1
+        elif n_open == 1:
+            value = res
         else:
-            if len(cells) == 1:
-                i, j = cells[0]
-                commit(i, j, res)
+            continue
+        for x in np.flatnonzero(~line):
+            i, j = (idx, x) if kind == "r" else (x, idx)
+            commit(i, j, value)
 
 
-def deterministic_fill(
-    seeds, t: MaskedTable, mode: str = "integer", assume_fixed_point: bool = False
-) -> FillResult:
+def deterministic_fill(seeds, t: MaskedTable, mode: str = "integer") -> FillResult:
     """Apply seed assignments to a copy of `t` and propagate all forced cells.
 
-    Returns the forced list (seeds first, then derived cells in propagation
-    order); replaying it onto the input table reproduces the result.  The
-    fixed point does not depend on seed order.  `assume_fixed_point=True`
-    propagates only outward from the seeds, valid when `t` was already
-    propagated; the result on such states is identical.
+    Every line is checked, so `t` need not be a fixed point.  Returns the
+    forced list (seeds first, then derived cells in propagation order);
+    replaying it onto the input table reproduces the result.  The fixed
+    point does not depend on seed order.
     """
     out = t.copy()
     forced: list = []
-    _fill_inplace(out, seeds, mode, forced, rescan=not assume_fixed_point)
+    _fill_inplace(out, seeds, mode, forced)
     return FillResult(forced=forced, table=out)
+
+
+def fill_in_place(seeds, t: MaskedTable, mode: str) -> list:
+    """Apply seeds to `t` itself, propagating outward from them only.
+
+    On a fixed point `t` (as `deterministic_fill` leaves it) this commits the
+    forced list `deterministic_fill` returns, in order.  `t.retract(forced)`
+    undoes it; on ContradictionError `t` is restored before the raise.
+    """
+    forced: list = []
+    try:
+        _fill_inplace(t, seeds, mode, forced, rescan=False)
+    except ContradictionError:
+        t.retract(forced)
+        raise
+    return forced
 
 
 def validate_table(entries, r, c, forced_zero=None, mode: str = "integer") -> bool:

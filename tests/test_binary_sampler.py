@@ -3,16 +3,23 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from bittables import binary_sampler
 from bittables.binary_sampler import (
     BinaryStrategy,
     _refresh_params,
     full_line_weight,
     sample_binary_table,
 )
-from bittables.errors import InfeasibleError, OracleLimitError
+from bittables.errors import ContradictionError, InfeasibleError, OracleLimitError
 from bittables.seeding import batch_rng
 from bittables.stats import chi_square_uniformity
-from bittables.table import MaskedTable, validate_table
+from bittables.table import (
+    MaskedTable,
+    binary_feasible,
+    deterministic_fill,
+    fill_in_place,
+    validate_table,
+)
 
 import oracles
 
@@ -39,6 +46,58 @@ def test_line_weight_excludes_own_cell():
     # row part: P(B(0.4)+B(0.4) = 1) = 2*0.4*0.6; col part: P(B(0.5)+B(0.5)=1)
     want = (2 * 0.4 * 0.6) * (2 * 0.5 * 0.5)
     assert abs(w - want) < 1e-12
+
+
+def test_memoised_line_weight_equals_direct_evaluation():
+    # a hit returns the float of the call it stands for, so sharing one memo
+    # across states and parameter vectors cannot move a weight
+    rng = np.random.default_rng(31)
+    memo = {}
+    checked = 0
+    for _ in range(60):
+        m, n = rng.integers(2, 7, size=2)
+        r = rng.integers(0, n + 1, size=m)
+        c = np.zeros(n, dtype=np.int64)
+        for _ in range(int(r.sum())):
+            c[rng.integers(0, n)] += 1
+        if not binary_feasible(r, c):
+            continue
+        t = deterministic_fill([], MaskedTable.from_margins(r, c), "binary").table
+        for _ in range(rng.integers(0, 4)):
+            opens = np.argwhere(~t.mask)
+            if len(opens) == 0:
+                break
+            i, j = opens[rng.integers(0, len(opens))]
+            try:
+                fill_in_place([(i, j, int(rng.integers(0, 2)))], t, "binary")
+            except ContradictionError:
+                pass
+        for p in (_refresh_params(t), rng.random(n)):
+            for _ in range(2):
+                for i, j in np.argwhere(~t.mask):
+                    for k in (0, 1):
+                        want = full_line_weight(i, j, k, t, p)
+                        assert full_line_weight(i, j, k, t, p, memo) == want
+                        checked += 1
+    assert checked > 500 and len(memo) > 50
+
+
+def test_line_factor_memo_lasts_one_draw(monkeypatch):
+    # the memo is made per call: a repeated draw misses as often as the first
+    calls = []
+    original = binary_sampler.poisson_binomial_point
+
+    def counted(ps, k):
+        calls.append(k)
+        return original(ps, k)
+
+    monkeypatch.setattr(binary_sampler, "poisson_binomial_point", counted)
+    misses = []
+    for _ in range(2):
+        calls.clear()
+        sample_binary_table([3, 2, 4, 1, 2], [2, 3, 2, 3, 2], seed=5)
+        misses.append(len(calls))
+    assert misses[0] == misses[1] > 0
 
 
 def test_first_cell_law_symmetric_instance():

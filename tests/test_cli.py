@@ -200,6 +200,20 @@ def test_negative_restart_budget_exits_one(capsys, monkeypatch):
         assert captured.out == "" and "error: max_restarts" in captured.err
 
 
+def test_negative_samples_exit_one(capsys):
+    for argv in (
+        ["sample-ct", "--rows", "2,2", "--cols", "2,2"],
+        ["sample-binary", "--rows", "1,1", "--cols", "1,1"],
+        ["sample-latin", "--n", "3"],
+        ["sample-partition", "--n", "5"],
+    ):
+        assert main(argv + ["--samples", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: samples must be nonnegative, got -1\n"
+        assert run_cli(capsys, *argv, "--samples", "0") == (0, "")
+
+
 def test_oracle_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BITTABLES_MAX_LATIN_ORDER", "3")
     assert main(["count", "--latin", "--n", "4"]) == 1

@@ -11,6 +11,7 @@ from bittables.table import (
     binary_feasible,
     deterministic_fill,
     entries_from_csv,
+    fill_in_place,
     entries_to_csv,
     table_from_json,
     table_to_json,
@@ -95,32 +96,132 @@ def test_binary_full_rule_and_contradictions():
         deterministic_fill([], over, "binary")  # row 0 needs 2 ones in 1 cell
 
 
-def test_fixed_point_shortcut_is_equivalent():
-    rng = np.random.default_rng(2024)
-    for _ in range(50):
-        m, n = rng.integers(2, 5, size=2)
-        r = rng.integers(0, 3, size=m)
-        total = r.sum()
+def _random_fixed_points(seed, mode, count):
+    """Fixed-point states of random feasible instances, some cells decided."""
+    rng = np.random.default_rng(seed)
+    top = 2 if mode == "binary" else 5
+    out = []
+    while len(out) < count:
+        m, n = rng.integers(2, 6, size=2)
+        r = rng.integers(0, top + 1, size=m)
         c = np.zeros(n, dtype=np.int64)
-        for _ in range(int(total)):
+        for _ in range(int(r.sum())):
             c[rng.integers(0, n)] += 1
-        if not binary_feasible(r, c):
+        if mode == "binary" and not binary_feasible(r, c):
             continue
-        base = deterministic_fill([], MaskedTable.from_margins(r, c), "binary").table
-        opens = np.argwhere(~base.mask)
-        if len(opens) == 0:
+        try:
+            t = deterministic_fill([], MaskedTable.from_margins(r, c), mode).table
+            for _ in range(rng.integers(0, 3)):
+                opens = np.argwhere(~t.mask)
+                if len(opens) == 0:
+                    break
+                i, j = opens[rng.integers(0, len(opens))]
+                v = int(rng.integers(0, 1 + min(t.r_res[i], t.c_res[j])))
+                t = deterministic_fill([(i, j, v)], t, mode).table
+        except ContradictionError:
             continue
-        i, j = opens[rng.integers(0, len(opens))]
-        for v in (0, 1):
-            try:
-                slow = deterministic_fill([(i, j, v)], base, "binary")
-            except ContradictionError:
-                with pytest.raises(ContradictionError):
-                    deterministic_fill([(i, j, v)], base, "binary", assume_fixed_point=True)
+        out.append(t)
+    return rng, out
+
+
+def _state(t):
+    return [a.copy() for a in (t.entries, t.mask, t.r_res, t.c_res, t.open_r, t.open_c)]
+
+
+def _assert_state(t, want):
+    for a, b in zip(_state(t), want):
+        assert np.array_equal(a, b)
+
+
+def test_fixed_point_shortcut_is_equivalent():
+    # on a fixed point, propagating from the seed alone (in place) commits
+    # the forced list a full rescan of a copy finds, in the same order
+    for mode in ("binary", "integer"):
+        rng, states = _random_fixed_points(2024, mode, 60)
+        for base in states:
+            opens = np.argwhere(~base.mask)
+            if len(opens) == 0:
                 continue
-            fast = deterministic_fill([(i, j, v)], base, "binary", assume_fixed_point=True)
-            assert np.array_equal(slow.table.entries, fast.table.entries)
-            assert np.array_equal(slow.table.mask, fast.table.mask)
+            i, j = opens[rng.integers(0, len(opens))]
+            for v in range(3 if mode == "integer" else 2):
+                t = base.copy()
+                try:
+                    slow = deterministic_fill([(i, j, v)], base, mode)
+                except ContradictionError as e:
+                    with pytest.raises(ContradictionError) as fast_err:
+                        fill_in_place([(i, j, v)], t, mode)
+                    assert str(fast_err.value) == str(e)
+                    continue
+                assert fill_in_place([(i, j, v)], t, mode) == slow.forced
+                _assert_state(t, _state(slow.table))
+
+
+def test_retract_undoes_fill_in_place():
+    for mode in ("binary", "integer"):
+        rng, states = _random_fixed_points(7, mode, 60)
+        for t in states:
+            before = _state(t)
+            for i, j in np.argwhere(~t.mask):
+                for v in range(3 if mode == "integer" else 2):
+                    try:
+                        forced = fill_in_place([(i, j, v)], t, mode)
+                    except ContradictionError:
+                        _assert_state(t, before)
+                        continue
+                    assert len(forced) >= 1
+                    t.retract(forced)
+                    _assert_state(t, before)
+
+
+def test_contradiction_midway_leaves_table_unchanged():
+    # the seed fits its residuals, so it is committed before propagation
+    # finds the contradiction; the partial fill must be undone
+    midway = 0
+    for mode in ("binary", "integer"):
+        _, states = _random_fixed_points(99, mode, 80)
+        for t in states:
+            before = _state(t)
+            for i, j in np.argwhere(~t.mask):
+                for v in range(1 + int(min(t.r_res[i], t.c_res[j]))):
+                    try:
+                        t.retract(fill_in_place([(i, j, v)], t, mode))
+                    except ContradictionError:
+                        midway += 1
+                        _assert_state(t, before)
+    assert midway > 10
+
+
+def test_open_counts_track_mask():
+    def check(t):
+        assert np.array_equal(t.open_r, (~t.mask).sum(axis=1))
+        assert np.array_equal(t.open_c, (~t.mask).sum(axis=0))
+        for i in range(t.m):
+            assert t.open_count_row(i) == int((~t.mask[i]).sum())
+
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        m, n = rng.integers(1, 6, size=2)
+        r = rng.integers(0, 6, size=m)
+        c = np.zeros(n, dtype=np.int64)
+        for _ in range(int(r.sum())):
+            c[rng.integers(0, n)] += 1
+        t = MaskedTable.from_margins(r, c, rng.random((m, n)) < 0.2)
+        check(t)
+        for _ in range(4):
+            opens = np.argwhere(~t.mask)
+            if len(opens) == 0:
+                break
+            i, j = opens[rng.integers(0, len(opens))]
+            v = int(rng.integers(0, 1 + min(t.r_res[i], t.c_res[j])))
+            try:
+                if rng.random() < 0.5:
+                    t.finalize(i, j, v)
+                else:
+                    t = deterministic_fill([(i, j, v)], t, "integer").table
+            except ContradictionError:
+                break
+            check(t)
+            check(t.copy())
 
 
 def test_validate_table_modes():
