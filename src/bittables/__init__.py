@@ -17,7 +17,6 @@ from .counting import (
     count_integer_tables,
     enumerate_binary_tables,
     enumerate_integer_tables,
-    enumerate_latin_squares,
     iter_latin_squares,
     shared_oracle,
 )
@@ -31,7 +30,7 @@ from .errors import (
     OracleLimitError,
 )
 from .integer_sampler import BitSamplerStrategy, sample_contingency_table
-from .latin import LatinSquare, RestartPolicy, sample_latin_square
+from .latin import LatinSquare, RestartPolicy, enumerate_latin_squares, sample_latin_square
 from .partitions import (
     Partition,
     distinct_partition_counts,

@@ -8,6 +8,7 @@ size limits keep runtimes bounded.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ __all__ = [
     "enumerate_integer_tables",
     "enumerate_binary_tables",
     "iter_latin_squares",
-    "enumerate_latin_squares",
 ]
 
 DEFAULT_MAX_INTEGER_DIM = 6
@@ -63,8 +63,8 @@ class CountQuery:
 
     @classmethod
     def build(cls, kind, r, c, forced_zero=None, forced_even=None) -> "CountQuery":
-        r = tuple(int(x) for x in r)
-        c = tuple(int(x) for x in c)
+        r = tuple(map(operator.index, r))
+        c = tuple(map(operator.index, c))
         m, n = len(r), len(c)
         return cls(kind, r, c, _colmasks(forced_zero, m, n), _colmasks(forced_even, m, n))
 
@@ -154,11 +154,6 @@ class CountOracle:
         if n > self.max_latin_order:
             raise OracleLimitError(f"order {n} exceeds Latin enumeration limit {self.max_latin_order}")
         return _iter_latin(n)
-
-    def enumerate_latin_squares(self, n: int) -> list:
-        from .latin import LatinSquare
-
-        return [LatinSquare(values=grid) for grid in self.iter_latin_squares(n)]
 
 
 def _suffix_symmetric(q: CountQuery, m: int) -> list:
@@ -316,7 +311,3 @@ def enumerate_binary_tables(r, c, forced_zero=None):
 
 def iter_latin_squares(n: int):
     return _default_oracle.iter_latin_squares(n)
-
-
-def enumerate_latin_squares(n: int) -> list:
-    return _default_oracle.enumerate_latin_squares(n)

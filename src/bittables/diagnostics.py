@@ -1,5 +1,5 @@
 """Shared bookkeeping for sampler runs: the one bit draw they all make and the
-restart loop of the table samplers."""
+one restart loop of the table samplers and the Latin cascade."""
 
 from __future__ import annotations
 
@@ -67,8 +67,10 @@ def run_with_restarts(attempt, max_restarts: int, diag: SamplerDiagnostics, rest
     """Return `attempt()`, calling it again after each DeadStateError.
 
     A restartable sampler gets up to `max_restarts` further attempts, any
-    other none.  Every dead state and every restart is counted in `diag`;
-    the last dead state is raised with `diag` attached.  A negative
+    other none.  Every dead state and every restart is counted in `diag`: an
+    error that carries diagnostics of its own (a Latin cascade attempt whose
+    class table died) is absorbed into `diag`, any other counts one dead
+    state.  The last dead state is raised with `diag` attached.  A negative
     `max_restarts` raises ValueError.
     """
     if max_restarts < 0:
@@ -78,7 +80,10 @@ def run_with_restarts(attempt, max_restarts: int, diag: SamplerDiagnostics, rest
         try:
             return attempt()
         except DeadStateError as e:
-            diag.dead_states += 1
+            if e.diagnostics is not None:
+                diag.absorb(e.diagnostics)
+            else:
+                diag.dead_states += 1
             if tries == budget:
                 raise DeadStateError(str(e), diagnostics=diag) from e
             diag.restarts += 1

@@ -26,7 +26,6 @@ from .table import MaskedTable, deterministic_fill
 
 __all__ = [
     "BitSamplerStrategy",
-    "exact_bit_distribution",
     "approx_bit_weight",
     "sample_contingency_table",
 ]
@@ -47,23 +46,6 @@ class BitSamplerStrategy:
     def __post_init__(self):
         if self.kind not in ("exact", "approx"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-
-
-def exact_bit_distribution(i, j, t: MaskedTable, forced_even=None, oracle=None) -> float:
-    """P(low bit of cell (i, j) is 0) among completions of the open state.
-
-    Completions are nonnegative integer tables matching the residual margins
-    of `t`, zero on its mask, even at `forced_even` cells, and even at
-    (i, j) net of the candidate bit.  Raises DeadStateError when neither bit
-    admits a completion.
-    """
-    oracle = oracle if oracle is not None else shared_oracle()
-    if forced_even is None:
-        forced_even = np.zeros((t.m, t.n), dtype=bool)
-    a0, a1 = _completion_counts(i, j, t, np.asarray(forced_even, dtype=bool), oracle)
-    if a0 + a1 == 0:
-        raise DeadStateError(f"no completion through cell ({i}, {j})")
-    return a0 / (a0 + a1)
 
 
 def _completion_counts(i, j, t, forced_even, oracle) -> list:

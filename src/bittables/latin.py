@@ -4,28 +4,29 @@ A square on symbols 1..n is built from internal values v = symbol - 1.  At
 level i the cells are partitioned by v mod 2**i; within each residue class,
 the cells whose value gets bit i set form a binary table whose row and column
 sums are all equal, and a fresh uniform draw of that table decides the bit.
-After all levels every line carries each residue exactly once.
+After all levels every line carries each residue exactly once.  One pass over
+all levels and classes is one attempt of the shared restart loop,
+`diagnostics.run_with_restarts`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binary_sampler import BinaryStrategy, sample_binary_table
-from .diagnostics import SamplerDiagnostics
+from .counting import iter_latin_squares
+from .diagnostics import SamplerDiagnostics, run_with_restarts
 from .errors import DeadStateError
 
 __all__ = [
     "LatinSquare",
     "RestartPolicy",
-    "LevelClass",
-    "LevelPlan",
+    "enumerate_latin_squares",
     "level_class_targets",
-    "build_level_plan",
     "sample_latin_square",
-    "parity_levels",
 ]
 
 
@@ -58,6 +59,11 @@ class LatinSquare:
         return True
 
 
+def enumerate_latin_squares(n: int) -> list:
+    """Every Latin square of order n, within the shared oracle's order limit."""
+    return [LatinSquare(values=grid) for grid in iter_latin_squares(n)]
+
+
 @dataclass(frozen=True)
 class RestartPolicy:
     """Escalation rule for cascade dead states.
@@ -78,22 +84,6 @@ class RestartPolicy:
             raise ValueError("budget must be nonnegative")
 
 
-@dataclass(frozen=True)
-class LevelClass:
-    """One residue class at one level: which cells may get the bit, and how
-    many per line must."""
-
-    residue: int
-    target: int
-    open_mask: np.ndarray
-
-
-@dataclass(frozen=True)
-class LevelPlan:
-    level: int
-    classes: tuple
-
-
 def level_class_targets(n: int, i: int, b: int) -> int:
     """Per-line count of cells in residue class b whose value gets bit i.
 
@@ -108,23 +98,6 @@ def level_class_targets(n: int, i: int, b: int) -> int:
     if a >= n:
         return 0
     return (n - 1 - a) // (1 << (i + 1)) + 1
-
-
-def build_level_plan(n: int, i: int, t: np.ndarray) -> LevelPlan:
-    """Partition the grid for level i given the values decided so far.
-
-    `t` holds the bits below i of every cell's internal value; cells agreeing
-    with residue b modulo 2**i form class b.  Classes whose target is zero
-    keep bit i clear everywhere and need no sampling.
-    """
-    t = np.asarray(t, dtype=np.int64)
-    period = 1 << i
-    classes = []
-    for b in range(period):
-        classes.append(
-            LevelClass(residue=b, target=level_class_targets(n, i, b), open_mask=(t % period == b))
-        )
-    return LevelPlan(level=i, classes=tuple(classes))
 
 
 def sample_latin_square(
@@ -144,6 +117,7 @@ def sample_latin_square(
     Raises DeadStateError once the policy is exhausted, with the failing
     (level, residue) recorded in the diagnostics.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     strategy = strategy if strategy is not None else BinaryStrategy()
@@ -158,54 +132,28 @@ def sample_latin_square(
         inner_budget, outer_attempts = 0, policy.budget + 1
     else:
         inner_budget, outer_attempts = 0, 1
-    last_error = None
-    for attempt in range(outer_attempts):
+
+    def attempt():
         t = np.zeros((n, n), dtype=np.int64)
-        failed = False
         for i in range(levels):
-            plan = build_level_plan(n, i, t)
-            for cls in plan.classes:
-                if cls.target == 0:
-                    continue
-                margins = [cls.target] * n
+            for b in range(1 << i):
+                target = level_class_targets(n, i, b)
+                if target == 0:
+                    continue  # bit i stays clear across the class
+                margins = [target] * n
+                # adding bit i leaves t mod 2**i alone, so the class is fixed for the level
+                forced_zero = t % (1 << i) != b
                 try:
                     entries, d = sample_binary_table(
-                        margins,
-                        margins,
-                        ~cls.open_mask,
-                        strategy,
-                        rng=rng,
-                        max_restarts=inner_budget,
+                        margins, margins, forced_zero, strategy, rng=rng, max_restarts=inner_budget
                     )
                 except DeadStateError as e:
-                    if e.diagnostics is not None:
-                        total.absorb(e.diagnostics)
-                    total.failure_site = (i, cls.residue)
-                    last_error = e
-                    failed = True
-                    break
+                    total.failure_site = (i, b)
+                    raise DeadStateError(
+                        f"cascade dead at level {i}, residue {b}", diagnostics=e.diagnostics
+                    ) from e
                 total.absorb(d)
                 t += entries << i
-            if failed:
-                break
-        if not failed:
-            values = tuple(tuple(int(x) + 1 for x in row) for row in t)
-            square = LatinSquare(values=values)
-            return square, total
-        if attempt + 1 < outer_attempts:
-            total.restarts += 1
-    site = total.failure_site
-    raise DeadStateError(
-        f"cascade dead at level {site[0]}, residue {site[1]}", diagnostics=total
-    ) from last_error
+        return LatinSquare(values=tuple(tuple(int(x) + 1 for x in row) for row in t))
 
-
-def parity_levels(square: LatinSquare) -> list:
-    """Digit planes of the square: plane i holds bit i of (symbol - 1).
-
-    Reassembling as sum(2**i * plane_i) + 1 reproduces the square; at least
-    one plane is returned even at order 1.
-    """
-    a = square.to_array() - 1
-    count = max(1, (square.n - 1).bit_length())
-    return [((a >> i) & 1).astype(np.int64) for i in range(count)]
+    return run_with_restarts(attempt, outer_attempts - 1, total, True), total

@@ -32,9 +32,6 @@ __all__ = [
 class ColumnParamScheme:
     """Per-column geometric parameters q[j] for one integer table level.
 
-    h[j] counts the closed cells of column j used when the parameters were
-    derived.
-
     `column_factors` and `cell_laws` memoise the integer line laws under
     these parameters (see `integer_sampler.approx_bit_weight`).  A sampler
     builds one scheme per bit level, so the memo lives exactly one level;
@@ -42,7 +39,6 @@ class ColumnParamScheme:
     column and the residuals, and it needs no size limit.
     """
 
-    h: np.ndarray
     q: np.ndarray
     column_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     cell_laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -216,4 +212,4 @@ def column_parameters(c, h, m: int) -> ColumnParamScheme:
     q = np.zeros(len(c))
     pos = c > 0
     q[pos] = c[pos] / (open_cells[pos] + c[pos])
-    return ColumnParamScheme(h=h, q=q)
+    return ColumnParamScheme(q=q)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -29,14 +30,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MarginSpec:
-    """Row and column sum targets; total mass must balance."""
+    """Row and column sum targets; total mass must balance.
+
+    Margins must be integers (numpy integers included); a float raises
+    TypeError instead of being truncated.
+    """
 
     r: tuple
     c: tuple
 
     def __post_init__(self):
-        r = tuple(int(x) for x in self.r)
-        c = tuple(int(x) for x in self.c)
+        r = tuple(map(operator.index, self.r))
+        c = tuple(map(operator.index, self.c))
         if any(x < 0 for x in r) or any(x < 0 for x in c):
             raise ValueError("margins must be nonnegative")
         if sum(r) != sum(c):
@@ -83,12 +88,6 @@ class MaskedTable:
         for name in ("entries", "mask", "r_res", "c_res", "open_r", "open_c"):
             setattr(out, name, getattr(self, name).copy())
         return out
-
-    def open_count_row(self, i: int) -> int:
-        return int(self.open_r[i])
-
-    def open_count_col(self, j: int) -> int:
-        return int(self.open_c[j])
 
     def is_complete(self) -> bool:
         return bool(self.mask.all())

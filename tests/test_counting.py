@@ -11,11 +11,11 @@ from bittables.counting import (
     count_integer_tables,
     enumerate_binary_tables,
     enumerate_integer_tables,
-    enumerate_latin_squares,
     iter_latin_squares,
     shared_oracle,
 )
 from bittables.errors import OracleLimitError
+from bittables.latin import enumerate_latin_squares
 
 import oracles
 
@@ -138,6 +138,17 @@ def test_query_cache_stability():
     b = oracle.count_binary_tables([2, 1], [1, 1, 1])
     assert a == b == oracles.count_binary([2, 1], [1, 1, 1])
     assert shared_oracle() is shared_oracle()
+
+
+def test_query_rejects_non_integer_margins():
+    # a float margin is refused, not truncated to a different instance
+    with pytest.raises(TypeError):
+        count_integer_tables([1.5, 0.5], [1, 0])
+    with pytest.raises(TypeError):
+        CountQuery.build("binary", [1, 1], [1.0, 1])
+    q = CountQuery.build("integer", np.array([2, 2]), [np.int32(2), np.int64(2)])
+    assert q.r == q.c == (2, 2) and all(type(x) is int for x in q.r + q.c)
+    assert count_integer_tables(np.array([2, 2]), np.array([2, 2])) == 3
 
 
 def test_colmasks_match_cell_loop():

@@ -14,11 +14,11 @@ import bittables
 from bittables import integer_sampler
 from bittables.binary_sampler import sample_binary_table
 from bittables.cli import main
+from bittables.counting import count_integer_tables
 from bittables.errors import DeadStateError, InfeasibleError
 from bittables.integer_sampler import (
     BitSamplerStrategy,
     approx_bit_weight,
-    exact_bit_distribution,
     sample_contingency_table,
 )
 from bittables.pmf import column_parameters
@@ -45,7 +45,11 @@ def test_first_bit_weight_hand_value():
         assert abs(approx_bit_weight(0, 0, k, t, scheme) - 0.0625) < 1e-12
     # seed factors 1/(1+q) and q/(1+q) then give P(bit0=0) = 2/3, the true
     # conditional: 2 of the 3 tables have an even corner
-    assert abs(exact_bit_distribution(0, 0, t) - 2 / 3) < 1e-12
+    even = np.zeros((2, 2), dtype=bool)
+    even[0, 0] = True
+    a0 = count_integer_tables([2, 2], [2, 2], None, even)  # corner bit 0
+    a1 = count_integer_tables([1, 2], [1, 2], None, even)  # corner bit 1
+    assert abs(a0 / (a0 + a1) - 2 / 3) < 1e-12
 
 
 def test_bit_weight_unreachable_residuals():
@@ -143,6 +147,14 @@ def test_infeasible_instances_rejected():
             [1, 1], [1, 1], strategy=BitSamplerStrategy(kind="exact"),
             forced_zero=np.ones((2, 2), dtype=bool), seed=0,
         )
+    # a float margin is refused, not truncated to a different instance
+    for kind in ("approx", "exact"):
+        with pytest.raises(TypeError):
+            sample_contingency_table([2.5, 1.5], [2, 1], strategy=BitSamplerStrategy(kind=kind), seed=1)
+    with pytest.raises(TypeError):
+        sample_binary_table([1.7, 1.2], [1, 1], seed=1)
+    e, _ = sample_contingency_table(np.array([2, 1]), np.array([2, 1]), seed=1)
+    assert e.sum(axis=1).tolist() == [2, 1]
 
 
 def test_fully_masked_zero_instance():
@@ -258,9 +270,9 @@ def test_package_imports_no_private_names_across_modules():
 DEMOTED_NAMES = {
     "pmf": ["ColumnParamScheme", "column_parameters", "conditioned_cell_pmf", "geometric_dist",
             "mixed_column_sum_pmf", "negative_binomial_dist", "poisson_binomial_point"],
-    "integer_sampler": ["approx_bit_weight", "exact_bit_distribution"],
+    "integer_sampler": ["approx_bit_weight"],
     "binary_sampler": ["full_line_weight"],
-    "latin": ["build_level_plan", "level_class_targets", "parity_levels"],
+    "latin": ["level_class_targets"],
 }
 
 
@@ -278,13 +290,16 @@ def test_package_surface_is_its_all():
     for name in bittables.__all__:
         assert getattr(bittables, name) is not None, name
     # kernel and decision helpers live in their modules, not in the package
-    assert sum(len(names) for names in DEMOTED_NAMES.values()) == 13
+    assert sum(len(names) for names in DEMOTED_NAMES.values()) == 10
     for module, names in DEMOTED_NAMES.items():
         mod = importlib.import_module(f"bittables.{module}")
         for name in names:
             assert name not in bittables.__all__, name
             assert callable(getattr(mod, name)), (module, name)
     assert not hasattr(bittables.pmf, "DiscretePMF")
+    # Latin squares are enumerated next to their type; counting knows only grids
+    assert not hasattr(bittables.counting, "enumerate_latin_squares")
+    assert not hasattr(bittables.CountOracle, "enumerate_latin_squares")
 
 
 _OPTIMIZE_DRAWS = """

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from bittables.binary_sampler import BinaryStrategy
-from bittables.counting import enumerate_latin_squares
+from bittables.diagnostics import SamplerDiagnostics, run_with_restarts
 from bittables.errors import DeadStateError
 from bittables.latin import (
     LatinSquare,
     RestartPolicy,
-    build_level_plan,
+    enumerate_latin_squares,
     level_class_targets,
-    parity_levels,
     sample_latin_square,
 )
 from bittables.seeding import batch_rng
@@ -65,40 +64,40 @@ def test_level_targets_total_identity():
             assert total == want
 
 
-def test_build_level_plan_partitions_grid():
-    t = np.array([[0, 1], [1, 0]])
-    plan = build_level_plan(2, 1, t)
-    assert plan.level == 1 and len(plan.classes) == 2
-    union = np.zeros((2, 2), dtype=int)
-    for cls in plan.classes:
-        union += cls.open_mask.astype(int)
-        assert cls.target == level_class_targets(2, 1, cls.residue)
-    assert (union == 1).all()
+def _check_class_tables(sq):
+    """Split the square's digit planes into the cascade's class tables.
+
+    Plane i holds bit i of (symbol - 1).  Within residue class b modulo
+    2**i, its cells form a 0/1 table whose lines all sum to the target the
+    cascade draws for that class; the planes reassemble the square.
+    Returns the planes.
+    """
+    a = sq.to_array() - 1
+    planes = [(a >> i) & 1 for i in range(max(1, (sq.n - 1).bit_length()))]
+    for i, plane in enumerate(planes):
+        for b in range(1 << i):
+            table = plane * (a % (1 << i) == b)
+            k = level_class_targets(sq.n, i, b)
+            assert (table.sum(axis=0) == k).all() and (table.sum(axis=1) == k).all(), (i, b)
+    assert np.array_equal(sum(plane << i for i, plane in enumerate(planes)) + 1, sq.to_array())
+    return planes
 
 
 def test_parity_planes_of_worked_square():
     # the level-0 plane follows value parity (symbol minus one), so it is
     # the complement of the odd-symbol display and its line sums are
     # floor(n/2) rather than ceil
-    sq = LatinSquare(SQUARE5)
-    planes = parity_levels(sq)
+    planes = _check_class_tables(LatinSquare(SQUARE5))
     assert len(planes) == 3
     assert np.array_equal(planes[0], 1 - ODD5)
     assert (planes[0].sum(axis=0) == 2).all() and (planes[0].sum(axis=1) == 2).all()
-    acc = np.zeros((5, 5), dtype=np.int64)
-    for i, plane in enumerate(planes):
-        acc += plane << i
-    assert np.array_equal(acc + 1, sq.to_array())
 
 
 def test_parity_round_trip_all_order_4():
-    for sq in enumerate_latin_squares(4):
-        planes = parity_levels(sq)
-        acc = np.zeros((4, 4), dtype=np.int64)
-        for i, plane in enumerate(planes):
-            assert set(np.unique(plane)) <= {0, 1}
-            acc += plane << i
-        assert np.array_equal(acc + 1, sq.to_array())
+    squares = enumerate_latin_squares(4)
+    assert len(squares) == 576
+    for sq in squares:
+        _check_class_tables(sq)
 
 
 def test_samples_are_valid_squares():
@@ -139,6 +138,12 @@ def test_policy_validation_and_abort():
         RestartPolicy(budget=-1)
     with pytest.raises(ValueError):
         sample_latin_square(0)
+    # a numpy integer order draws like the int; a float order is refused
+    a, da = sample_latin_square(np.int64(6), rng=batch_rng(9, 1))
+    b, db = sample_latin_square(6, rng=batch_rng(9, 1))
+    assert a == b and da.as_dict() == db.as_dict()
+    with pytest.raises(TypeError):
+        sample_latin_square(6.0, seed=1)
     # abort still succeeds when no dead state occurs
     sq, diag = sample_latin_square(4, policy=RestartPolicy(scope="abort"), seed=2)
     assert sq.is_valid()
@@ -147,11 +152,39 @@ def test_policy_validation_and_abort():
 def test_dead_state_surfaces_failure_site():
     # dead ends are rare under constraint propagation; this stream is a
     # known order-7 casualty, dying in the second-level odd class
-    with pytest.raises(DeadStateError) as err:
+    with pytest.raises(DeadStateError, match="^cascade dead at level 1, residue 1$") as err:
         sample_latin_square(7, policy=RestartPolicy(scope="abort"), rng=batch_rng(71, 455))
     diag = err.value.diagnostics
-    assert diag is not None and diag.failure_site == (1, 1)
-    assert diag.dead_states >= 1
+    assert diag.as_dict() == {
+        "bits_consumed": 46, "restarts": 0, "dead_states": 1, "levels": 3, "failure_site": [1, 1],
+    }
+    # the raised error wraps the cascade's error, which wraps the class table's
+    cascade = err.value.__cause__
+    assert str(cascade) == str(err.value) and cascade.__cause__ is not None
+    # an order-10 casualty dies in the third-level class of residue 0
+    with pytest.raises(DeadStateError, match="^cascade dead at level 2, residue 0$") as err10:
+        sample_latin_square(10, policy=RestartPolicy("restart_all", 0), rng=batch_rng(71, 77))
+    assert err10.value.diagnostics.as_dict() == {
+        "bits_consumed": 122, "restarts": 0, "dead_states": 1, "levels": 4, "failure_site": [2, 0],
+    }
+
+
+def test_run_with_restarts_absorbs_attached_diagnostics():
+    # an attempt's own record is absorbed once; a bare error counts one dead state
+    inner = SamplerDiagnostics(bits_consumed=5, restarts=2, dead_states=3)
+    calls = []
+
+    def attempt():
+        calls.append(None)
+        if len(calls) == 1:
+            raise DeadStateError("carried", diagnostics=inner)
+        raise DeadStateError("bare")
+
+    diag = SamplerDiagnostics()
+    with pytest.raises(DeadStateError, match="^bare$") as err:
+        run_with_restarts(attempt, 1, diag, True)
+    assert err.value.diagnostics is diag
+    assert diag.as_dict() == {"bits_consumed": 5, "restarts": 3, "dead_states": 4}
 
 
 def test_retry_level_recovers_from_dead_state():
@@ -164,3 +197,10 @@ def test_retry_level_recovers_from_dead_state():
     sq10, diag10 = sample_latin_square(10, rng=batch_rng(71, 77))
     assert sq10.is_valid()
     assert diag10.dead_states >= 1
+    # on the order-7 stream, one full restart of the cascade finishes it
+    for policy in (RestartPolicy("restart_all", 1), RestartPolicy("retry_level", 0)):
+        sq, diag = sample_latin_square(7, policy=policy, rng=batch_rng(71, 455))
+        assert sq.is_valid()
+        assert diag.as_dict() == {
+            "bits_consumed": 96, "restarts": 1, "dead_states": 1, "levels": 3, "failure_site": [1, 1],
+        }
