@@ -3,6 +3,7 @@ one restart loop of the table samplers and the Latin cascade."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import DeadStateError
@@ -71,8 +72,9 @@ def run_with_restarts(attempt, max_restarts: int, diag: SamplerDiagnostics, rest
     error that carries diagnostics of its own (a Latin cascade attempt whose
     class table died) is absorbed into `diag`, any other counts one dead
     state.  The last dead state is raised with `diag` attached.  A negative
-    `max_restarts` raises ValueError.
+    `max_restarts` raises ValueError, a float TypeError.
     """
+    max_restarts = operator.index(max_restarts)
     if max_restarts < 0:
         raise ValueError(f"max_restarts must be nonnegative, got {max_restarts}")
     budget = max_restarts if restartable else 0

@@ -1,15 +1,17 @@
 """Bitwise sampler for nonnegative integer tables with fixed margins.
 
-The table is generated one binary digit plane at a time.  Within a level
-every open cell receives its low bit in scan order, zero-residual lines close
-immediately, and at level end all residual margins are even and halve for the
-next level.  Bit decisions come either from exact completion counts or from a
-factorized approximation of the conditional cell laws; the approximate route
-restarts on dead states.  Within a level the column parameters are fixed, so
-the approximate route memoises its line laws per level on the level's
-`ColumnParamScheme`: each column factor as one float, each conditioned cell
-law as its mass vector.  A level that ends with an odd residual, which the
-factorized weights cannot see coming, is a dead state too.
+The table is generated one binary digit plane at a time, on one
+`MaskedTable` per attempt.  Within a level every open cell receives its low
+bit in scan order, zero-residual lines close immediately, and at level end
+all residual margins are even and halve for the next level.  Bit decisions
+come either from exact completion counts or from a factorized approximation
+of the conditional cell laws; the approximate route tries each candidate in
+place, weighs it and retracts it, and restarts on dead states.  Within a
+level the column parameters are fixed, so the approximate route memoises its
+line laws per level on the level's `ColumnParamScheme`: each column factor
+as one float, each conditioned cell law as its mass vector.  A level that
+ends with an odd residual, which the factorized weights cannot see coming,
+is a dead state too.
 """
 
 from __future__ import annotations
@@ -48,21 +50,6 @@ class BitSamplerStrategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
 
 
-def _completion_counts(i, j, t, forced_even, oracle) -> list:
-    """Completions of state `t` (r_res, c_res, mask) with bit 0 and bit 1 at
-    (i, j): cell (i, j) and the `forced_even` cells keep even remainders."""
-    fe = forced_even.copy()
-    fe[i, j] = True
-    counts = []
-    for k in (0, 1):
-        r = t.r_res.copy()
-        c = t.c_res.copy()
-        r[i] -= k
-        c[j] -= k
-        counts.append(oracle.count_integer_tables(r, c, t.mask, fe))
-    return counts
-
-
 # The line laws depend on their column only through its parameter, so the
 # per-level memos are keyed by the value of q: columns sharing q share laws.
 
@@ -92,14 +79,14 @@ def _cell_law(scheme: ColumnParamScheme, q, cell_even: bool, rest_even: int, res
     return masses
 
 
-def approx_bit_weight(i, j, k: int, t, scheme: ColumnParamScheme) -> float:
+def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -> float:
     """Factorized weight for assigning bit k to cell (i, j).
 
-    `t` is any state with residual margins `r_res`, `c_res` and a closed-cell
-    `mask`, such as a `MaskedTable`.  It is assumed scanned in column-major
-    order up to (i, j): open cells in columns before j, and in column j at
-    rows up to i, already hold their bit and carry an even remainder; later
-    cells are untouched.  The weight is the probability of the cell's column
+    `t` is a `MaskedTable` with residual margins in units of the level bit
+    and its open-cell counts.  It is assumed scanned in column-major order up
+    to (i, j): open cells in columns before j, and in column j at rows up to
+    i, already hold their bit and carry an even remainder; later cells are
+    untouched.  The weight is the probability of the cell's column
     residual under the mixed even/plain column law times the probability of
     its row residual under a convolution of per-cell laws, each conditioned
     on its own column sum.  The candidate bit is folded into both residuals
@@ -112,7 +99,7 @@ def approx_bit_weight(i, j, k: int, t, scheme: ColumnParamScheme) -> float:
     if r_i < 0 or c_j < 0:
         return 0.0
     open_cells = ~t.mask
-    col_open = np.count_nonzero(open_cells, axis=0).tolist()
+    col_open = t.open_c.tolist()
     above = int(np.count_nonzero(open_cells[:i, j]))  # open cells of column j above row i
     n_even = above + int(open_cells[i, j])
     col_factor = _column_factor(scheme, q[j], n_even, col_open[j] - n_even, c_j)
@@ -138,135 +125,110 @@ def approx_bit_weight(i, j, k: int, t, scheme: ColumnParamScheme) -> float:
     return col_factor * float(conv[r_i]) if r_i < conv.size else 0.0
 
 
-class _LevelState:
-    """Mutable within-level state; margins are in units of the level bit.
+def _apply_bit(t: MaskedTable, i: int, j: int, k: int, q, acc) -> list:
+    """Commit candidate bit k at open cell (i, j) of `t` and pin closed lines.
 
-    `mask` marks cells whose level bit is decided or pinned to remainder 0;
-    `pending` marks decided cells that keep an even remainder.
-    """
-
-    __slots__ = ("r_res", "c_res", "mask", "pending")
-
-    def __init__(self, r_res, c_res, mask, pending):
-        self.r_res = r_res
-        self.c_res = c_res
-        self.mask = mask
-        self.pending = pending
-
-    def copy(self) -> "_LevelState":
-        return _LevelState(
-            self.r_res.copy(), self.c_res.copy(), self.mask.copy(), self.pending.copy()
-        )
-
-    def adopt(self, other: "_LevelState") -> None:
-        self.r_res, self.c_res = other.r_res, other.c_res
-        self.mask, self.pending = other.mask, other.pending
-
-
-def _close_row(st: _LevelState, i: int, q, acc) -> None:
-    # residual hit zero: pin every remaining cell of the row to remainder 0
-    for l in np.flatnonzero(~st.mask[i]):
-        acc[0] *= (1.0 - q[l] * q[l]) if st.pending[i, l] else (1.0 - q[l])
-        st.mask[i, l] = True
-        st.pending[i, l] = False
-        if st.c_res[l] > 0 and bool(st.mask[:, l].all()):
-            raise ContradictionError(f"column {l} stranded with residual {st.c_res[l]}")
-
-
-def _close_col(st: _LevelState, j: int, q, acc) -> None:
-    for s in np.flatnonzero(~st.mask[:, j]):
-        acc[0] *= (1.0 - q[j] * q[j]) if st.pending[s, j] else (1.0 - q[j])
-        st.mask[s, j] = True
-        st.pending[s, j] = False
-        if st.r_res[s] > 0 and bool(st.mask[s].all()):
-            raise ContradictionError(f"row {s} stranded with residual {st.r_res[s]}")
-
-
-def _apply_bit(st: _LevelState, i: int, j: int, k: int, q, acc) -> None:
-    """Commit candidate bit k at open cell (i, j) and propagate closures.
-
-    Multiplies into acc[0] the proposal probability of every decision the
-    move forces, the bit itself included.  Raises ContradictionError when
-    the branch strands a line.
+    The bit leaves the cell open with an even remainder; so do the open cells
+    before it in column-major scan order, which hold their bit already.  A
+    row, then a column, whose residual reaches zero has its open cells pinned
+    to remainder 0.  Multiplies into acc[0] the proposal probability of every
+    decision the move forces, the bit itself included, and returns the pinned
+    cells for `_retract_bit`.  Raises ContradictionError, with `t` restored,
+    when the branch strands a line.
     """
     acc[0] *= (q[j] if k else 1.0) / (1.0 + q[j])
-    if k:
-        if st.r_res[i] == 0 or st.c_res[j] == 0:
-            raise ContradictionError(f"bit 1 at ({i}, {j}) exceeds a zero residual")
-        st.r_res[i] -= 1
-        st.c_res[j] -= 1
-    st.pending[i, j] = True
-    if st.r_res[i] == 0:
-        _close_row(st, i, q, acc)
-    if st.c_res[j] == 0:
-        _close_col(st, j, q, acc)
+    if k and (t.r_res[i] == 0 or t.c_res[j] == 0):
+        raise ContradictionError(f"bit 1 at ({i}, {j}) exceeds a zero residual")
+    t.r_res[i] -= k
+    t.c_res[j] -= k
+    pinned = []
+    try:
+        if t.r_res[i] == 0:
+            for l in np.flatnonzero(~t.mask[i]).tolist():
+                acc[0] *= (1.0 - q[l] * q[l]) if l <= j else (1.0 - q[l])
+                t.finalize(i, l, 0)
+                pinned.append((i, l, 0))
+                if t.c_res[l] > 0 and t.open_c[l] == 0:
+                    raise ContradictionError(f"column {l} stranded with residual {t.c_res[l]}")
+        if t.c_res[j] == 0:
+            for s in np.flatnonzero(~t.mask[:, j]).tolist():
+                acc[0] *= (1.0 - q[j] * q[j]) if s <= i else (1.0 - q[j])
+                t.finalize(s, j, 0)
+                pinned.append((s, j, 0))
+                if t.r_res[s] > 0 and t.open_r[s] == 0:
+                    raise ContradictionError(f"row {s} stranded with residual {t.r_res[s]}")
+    except ContradictionError:
+        _retract_bit(t, i, j, k, pinned)
+        raise
+    return pinned
 
 
-def _decide(st, i, j, level, strategy, scheme, oracle, rng, diag) -> int:
-    """Draw and commit the level bit of open cell (i, j).
+def _retract_bit(t: MaskedTable, i: int, j: int, k: int, pinned: list) -> None:
+    """Undo `_apply_bit(t, i, j, k, ...)`, which pinned `pinned`."""
+    t.retract(pinned)
+    t.r_res[i] += k
+    t.c_res[j] += k
 
-    Exact: weights are completion counts.  Approx: each candidate is applied
-    to a trial copy, weighted by the proposal probability of the decisions
-    it forces times its line weight; a candidate that strands a line weighs 0.
+
+def _decide(t, i, j, level, strategy, scheme, oracle, rng, diag) -> int:
+    """Draw and commit the level bit of open cell (i, j) on `t`.
+
+    Exact: weights are completion counts, with the scanned open cells up to
+    (i, j) kept even.  Approx: each candidate is applied in place, weighted
+    by the proposal probability of the decisions it forces times its line
+    weight, and retracted; a candidate that strands a line weighs 0.
     """
-    if strategy.kind == "exact":
-        w0, w1 = _completion_counts(i, j, st, st.pending, oracle)
-        bit = choose_bit(w0, w1, rng, diag, (i, j), level)
-        _apply_bit(st, i, j, bit, scheme.q, [1.0])
-        return bit
-    trials = [None, None]
+    q = scheme.q
     weights = [0.0, 0.0]
-    for k in (0, 1):
-        tr = st.copy()
-        acc = [1.0]
-        try:
-            _apply_bit(tr, i, j, k, scheme.q, acc)
-        except ContradictionError:
-            continue
-        trials[k] = tr
-        weights[k] = acc[0] * approx_bit_weight(i, j, 0, tr, scheme)
+    if strategy.kind == "exact":
+        forced_even = ~t.mask
+        forced_even[:, j + 1:] = False
+        forced_even[i + 1:, j] = False
+        for k in (0, 1):
+            r, c = t.r_res.copy(), t.c_res.copy()
+            r[i] -= k
+            c[j] -= k
+            weights[k] = oracle.count_integer_tables(r, c, t.mask, forced_even)
+    else:
+        for k in (0, 1):
+            acc = [1.0]
+            try:
+                pinned = _apply_bit(t, i, j, k, q, acc)
+            except ContradictionError:
+                continue
+            weights[k] = acc[0] * approx_bit_weight(i, j, 0, t, scheme)
+            _retract_bit(t, i, j, k, pinned)
     bit = choose_bit(weights[0], weights[1], rng, diag, (i, j), level)
-    st.adopt(trials[bit])
+    _apply_bit(t, i, j, bit, q, [1.0])
     return bit
 
 
 def _run_levels(pre, levels, strategy, oracle, rng, diag) -> np.ndarray:
-    m, n = pre.table.m, pre.table.n
+    t = pre.table.copy()
+    m, n = t.m, t.n
     assembled = np.zeros((m, n), dtype=np.int64)
     for fi, fj, v in pre.forced:
         assembled[fi, fj] += v
-    perm = pre.table.mask.copy()
-    r = pre.table.r_res.copy()
-    c = pre.table.c_res.copy()
-    scratch = np.zeros((m, n), dtype=np.int64)
     for b in range(levels):
         if b > 0:
             try:
-                fill = deterministic_fill([], MaskedTable(scratch, perm, r, c), mode="integer")
+                fill = deterministic_fill([], t, mode="integer")
             except ContradictionError as e:
                 raise DeadStateError(f"level {b} start: {e}") from e
             for fi, fj, v in fill.forced:
                 assembled[fi, fj] += v << b
-            perm, r, c = fill.table.mask, fill.table.r_res, fill.table.c_res
-        h = np.count_nonzero(perm, axis=0)
-        scheme = column_parameters(c, h, m)
-        st = _LevelState(r, c, perm, np.zeros((m, n), dtype=bool))
+            t = fill.table
+        scheme = column_parameters(t.c_res, m - t.open_c, m)
         for j in range(n):
             for i in range(m):
-                if st.mask[i, j]:
-                    continue
-                bit = _decide(st, i, j, b, strategy, scheme, oracle, rng, diag)
-                if bit:
+                if not t.mask[i, j] and _decide(t, i, j, b, strategy, scheme, oracle, rng, diag):
                     assembled[i, j] += 1 << b
-        perm, r, c = st.mask, st.r_res, st.c_res
-        if not bool((st.pending | perm).all()):
-            raise ContradictionError(f"level {b} scan left an undecided cell")
-        if np.any(r & 1) or np.any(c & 1):
+        if np.any(t.r_res & 1) or np.any(t.c_res & 1):
             # a line stranded off the scored row and column: restart
             raise DeadStateError(f"level {b} left an odd residual")
-        r >>= 1
-        c >>= 1
-    if np.any(r) or np.any(c):
+        t.r_res >>= 1
+        t.c_res >>= 1
+    if np.any(t.r_res) or np.any(t.c_res):
         raise ContradictionError("margins not exhausted after final level")
     return assembled
 

@@ -71,7 +71,7 @@ class RestartPolicy:
     "retry_level" spends `budget` restarts inside the failing class table,
     then one full restart of the cascade before giving up; "restart_all"
     restarts the whole cascade up to `budget` times with no inner retries;
-    "abort" fails on the first dead state.
+    "abort" fails on the first dead state.  A float budget raises TypeError.
     """
 
     scope: str = "retry_level"
@@ -80,6 +80,7 @@ class RestartPolicy:
     def __post_init__(self):
         if self.scope not in ("retry_level", "restart_all", "abort"):
             raise ValueError(f"unknown restart scope {self.scope!r}")
+        object.__setattr__(self, "budget", operator.index(self.budget))
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
 

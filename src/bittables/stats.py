@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -59,13 +60,14 @@ def chi_square_uniformity(counts, K: int, significance: float = 0.01) -> Uniform
     """Pearson chi-square test of observed counts against uniform on K outcomes.
 
     `counts` holds observed frequencies per outcome; fewer than K entries are
-    padded with zeros (outcomes never seen).  The statistic is
+    padded with zeros (outcomes never seen).  Counts must be integers; a
+    float raises TypeError.  The statistic is
     sum((O_k - N/K)**2 / (N/K)) on K - 1 degrees of freedom; counts (60, 40)
     on two outcomes give exactly 4.0.
     """
-    o = np.asarray(list(counts), dtype=float)
-    if o.ndim != 1 or len(o) > K:
-        raise ValueError(f"expected at most {K} counts, got shape {o.shape}")
+    o = np.array([operator.index(x) for x in counts], dtype=float)
+    if len(o) > K:
+        raise ValueError(f"expected at most {K} counts, got {len(o)}")
     if np.any(o < 0):
         raise ValueError("counts must be nonnegative")
     if K < 2:

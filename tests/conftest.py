@@ -1,8 +1,16 @@
 """Shared pytest wiring for the acceptance battery.
 
 The acceptance tests record one summary line per criterion; the hook below
-replays them after the run so they survive output capture.
+replays them after the run so they survive output capture.  `src/` is also
+put on PYTHONPATH, so that the tests that start a fresh interpreter import
+the same package as pytest itself (see `pythonpath` in pyproject.toml).
 """
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 acceptance_lines: list = []
 

@@ -15,7 +15,7 @@ from bittables import integer_sampler
 from bittables.binary_sampler import sample_binary_table
 from bittables.cli import main
 from bittables.counting import count_integer_tables
-from bittables.errors import DeadStateError, InfeasibleError
+from bittables.errors import ContradictionError, DeadStateError, InfeasibleError
 from bittables.integer_sampler import (
     BitSamplerStrategy,
     approx_bit_weight,
@@ -24,7 +24,7 @@ from bittables.integer_sampler import (
 from bittables.pmf import column_parameters
 from bittables.seeding import batch_rng
 from bittables.stats import chi_square_uniformity
-from bittables.table import MaskedTable, validate_table
+from bittables.table import MaskedTable, deterministic_fill, validate_table
 
 import oracles
 
@@ -216,6 +216,53 @@ def test_line_laws_are_memoised_on_the_scheme(monkeypatch):
     assert [approx_bit_weight(0, 0, k, t, fresh) for k in (0, 1)] == first
 
 
+def _state(t):
+    return [a.copy() for a in (t.entries, t.mask, t.r_res, t.c_res, t.open_r, t.open_c)]
+
+
+def test_bit_trial_retracts_in_place():
+    # every level state a column-major scan reaches: each candidate bit,
+    # applied and retracted, or refused midway, leaves all six arrays as
+    # they were.  Closed cells, as earlier levels leave them, let a row's
+    # closure strand a column while its cells are being pinned.
+    rng = np.random.default_rng(11)
+    stranded = 0
+
+    def scan(t, q):
+        nonlocal stranded
+        for j in range(t.n):
+            for i in range(t.m):
+                if t.mask[i, j]:
+                    continue
+                before = _state(t)
+                fits = []
+                for k in (0, 1):
+                    try:
+                        pinned = integer_sampler._apply_bit(t, i, j, k, q, [1.0])
+                    except ContradictionError as e:
+                        stranded += "stranded" in str(e)
+                    else:
+                        fits.append(k)
+                        integer_sampler._retract_bit(t, i, j, k, pinned)
+                    for a, b in zip(_state(t), before):
+                        assert np.array_equal(a, b)
+                if not fits:
+                    return
+                integer_sampler._apply_bit(t, i, j, int(rng.choice(fits)), q, [1.0])
+
+    for _ in range(120):
+        m, n = rng.integers(2, 8, size=2)
+        r = rng.integers(0, 4, size=m)
+        c = np.bincount(rng.integers(0, n, size=int(r.sum())), minlength=n)
+        try:
+            t = MaskedTable.from_margins(r, c, rng.random((m, n)) < 0.4)
+            t = deterministic_fill([], t, "integer").table
+        except ContradictionError:
+            continue
+        scan(t, column_parameters(t.c_res, m - t.open_c, m).q)
+    assert stranded > 10
+
+
 def test_odd_residual_restarts_instead_of_failing(capsys):
     # this stream strands rows 3 and 4 with odd residuals in level 3; the
     # level end is a dead state and the draw restarts
@@ -232,9 +279,17 @@ def test_odd_residual_restarts_instead_of_failing(capsys):
 
 
 def test_negative_restart_budget_raises_value_error():
-    for sampler in (sample_contingency_table, sample_binary_table):
+    exact = {"strategy": BitSamplerStrategy("exact")}
+    for sampler, kw in ((sample_contingency_table, {}), (sample_contingency_table, exact),
+                        (sample_binary_table, {})):
         with pytest.raises(ValueError, match="max_restarts"):
-            sampler([2, 2], [2, 2], max_restarts=-1, rng=batch_rng(0, 0))
+            sampler([2, 2], [2, 2], max_restarts=-1, rng=batch_rng(0, 0), **kw)
+        # a float budget is refused, not truncated; a numpy integer draws like the int
+        with pytest.raises(TypeError):
+            sampler([2, 2], [2, 2], max_restarts=2.5, rng=batch_rng(0, 0), **kw)
+        a, _ = sampler([2, 2], [2, 2], max_restarts=np.int64(2), rng=batch_rng(0, 0), **kw)
+        b, _ = sampler([2, 2], [2, 2], max_restarts=2, rng=batch_rng(0, 0), **kw)
+        assert np.array_equal(a, b)
     # a zero budget still allows the first attempt, and its dead state counts
     r = c = [30] * 6
     with pytest.raises(DeadStateError) as exc:

@@ -136,6 +136,13 @@ def test_policy_validation_and_abort():
         RestartPolicy(scope="sometimes")
     with pytest.raises(ValueError):
         RestartPolicy(budget=-1)
+    # a float budget is refused, not truncated; a numpy integer is kept as the int
+    with pytest.raises(TypeError):
+        RestartPolicy("retry_level", 0.5)
+    policy = RestartPolicy("restart_all", np.int64(3))
+    assert policy == RestartPolicy("restart_all", 3) and type(policy.budget) is int
+    sq, _ = sample_latin_square(5, policy=policy, rng=batch_rng(9, 2))
+    assert sq.is_valid()
     with pytest.raises(ValueError):
         sample_latin_square(0)
     # a numpy integer order draws like the int; a float order is refused

@@ -22,6 +22,13 @@ def test_negative_arguments_rejected():
         batch_rng(-1, 0)
     with pytest.raises(ValueError):
         batch_rng(0, -2)
+    # floats used to be truncated: batch_rng(1.5, 0) drew batch_rng(1, 0)'s stream
+    for args in ((1.5, 0), (1, 0.9), (1.0, 0)):
+        with pytest.raises(TypeError):
+            batch_rng(*args)
+    # numpy integers are integers
+    a = batch_rng(np.int64(1), np.uint8(4)).random(4)
+    assert np.array_equal(a, batch_rng(1, 4).random(4))
 
 
 def test_diagnostics_absorb_and_dict():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from scipy.stats import chi2
 
@@ -50,6 +51,9 @@ def test_validation_errors():
         chi_square_uniformity([0, 0], 2)
     with pytest.raises(ValueError):
         chi_square_uniformity([1, 1], 1)
+    with pytest.raises(TypeError):
+        chi_square_uniformity([1.5, 2], 2)  # used to report total 3 against expected 1.75
+    assert chi_square_uniformity(np.array([3, 5]), 2) == chi_square_uniformity([3, 5], 2)
     with pytest.raises(ValueError):
         chi_square_threshold(0, 0.05)
     with pytest.raises(ValueError):
