@@ -47,8 +47,6 @@ from .table import (
     deterministic_fill,
     entries_from_csv,
     entries_to_csv,
-    table_from_json,
-    table_to_json,
     validate_table,
 )
 
@@ -92,7 +90,5 @@ __all__ = [
     "sample_latin_square",
     "sample_partition",
     "shared_oracle",
-    "table_from_json",
-    "table_to_json",
     "validate_table",
 ]

@@ -149,9 +149,9 @@ def sample_binary_table(
     base = MaskedTable.from_margins(r, c, forced_zero)
     oracle = strategy.oracle if strategy.oracle is not None else shared_oracle()
     if strategy.kind == "exact":
-        # The cached count doubles as the feasibility check; the max-flow
-        # test would cost more per draw than the whole exact scan.
-        oracle.check_binary_limits(base.r_res.tolist(), base.c_res.tolist())
+        # The cached count doubles as the feasibility check, and its query
+        # the oracle's limit check; the max-flow test would cost more per
+        # draw than the whole exact scan.
         if oracle.count_binary_tables(base.r_res, base.c_res, base.mask) == 0:
             raise InfeasibleError("no binary table matches the margins and mask")
     elif not binary_feasible(base.r_res, base.c_res, base.mask):

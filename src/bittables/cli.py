@@ -3,7 +3,7 @@
 Output is JSON lines (one object per sample, schema-versioned, key-sorted)
 so identical invocations are byte-identical; tables and squares can also be
 emitted as CSV.  Exit codes: 0 success, 2 dead-state abort, 1 usage or
-instance error.
+instance error or a sample that fails --validate.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from .counting import (
 )
 from .errors import DeadStateError, InfeasibleError, OracleLimitError
 from .integer_sampler import BitSamplerStrategy, sample_contingency_table
-from .latin import RestartPolicy, sample_latin_square
+from .latin import LatinSquare, RestartPolicy, sample_latin_square
 from .partitions import enumerate_partitions, sample_distinct_partition, sample_partition
 from .seeding import batch_rng
-from .stats import chi_square_uniformity
+from .stats import chi_square_threshold, chi_square_uniformity
 from .table import entries_to_csv, validate_table
 
 SCHEMA = 1
@@ -113,140 +113,102 @@ def _emit(obj, stream) -> None:
     stream.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _emit_csv(rows, index, stream) -> None:
-    if index:
-        stream.write("\n")
-    stream.write(entries_to_csv(rows))
-
-
-def cmd_sample_ct(args, out) -> int:
+def _table_instance(args, missing="table commands need --rows and --cols"):
+    """Margins and forced-zero mask from --rows/--cols/--mask, and their payload fields."""
+    if args.rows is None or args.cols is None:
+        raise ValueError(missing)
     r = _int_list(args.rows)
     c = _int_list(args.cols)
     mask = _mask_array(args.mask, len(r), len(c))
-    strategy = BitSamplerStrategy(kind=args.strategy, oracle=_oracle())
-    budget = _budget(args.max_restarts)
+    return r, c, mask, {"rows": r, "cols": c, "mask": _mask_cells(mask)}
+
+
+def _run_samples(args, out, fields, draw, valid) -> int:
+    """Write sample t = 0..args.samples-1, drawn from batch_rng(args.seed, t).
+
+    `draw(rng)` returns the sample (an entry grid for the CSV format) and its
+    payload fields; `fields` are the payload fields shared by every sample.
+    Under --validate, `valid(sample)` is checked in either format and any
+    invalid sample makes the exit code 1.
+    """
+    as_csv = getattr(args, "format", "json") == "csv"
     all_valid = True
     for t in range(args.samples):
-        entries, diag = sample_contingency_table(
-            r,
-            c,
-            mask,
-            strategy,
-            rng=batch_rng(args.seed, t),
-            max_restarts=budget,
-            retain_bit_levels=args.retain_levels,
-            scan=args.scan,
-        )
-        if args.format == "csv":
-            _emit_csv(entries, t, out)
+        sample, drawn = draw(batch_rng(args.seed, t))
+        ok = valid(sample) if args.validate else True
+        all_valid = all_valid and ok
+        if as_csv:  # blank-line separated blocks
+            out.write(("\n" if t else "") + entries_to_csv(sample))
             continue
-        payload = {
-            "schema": SCHEMA,
-            "command": "sample-ct",
-            "index": t,
-            "seed": args.seed,
-            "rows": r,
-            "cols": c,
-            "mask": _mask_cells(mask),
-            "strategy": args.strategy,
-            "entries": entries.tolist(),
-            "diagnostics": diag.as_dict(),
-        }
+        payload = {"schema": SCHEMA, "command": args.command, "index": t, "seed": args.seed}
+        payload.update(fields)
+        payload.update(drawn)
         if args.validate:
-            ok = validate_table(entries, r, c, mask, mode="integer")
             payload["valid"] = ok
-            all_valid = all_valid and ok
         _emit(payload, out)
     return 0 if all_valid else 1
 
 
+def cmd_sample_ct(args, out) -> int:
+    r, c, mask, fields = _table_instance(args)
+    fields["strategy"] = args.strategy
+    strategy = BitSamplerStrategy(kind=args.strategy, oracle=_oracle())
+    budget = _budget(args.max_restarts)
+
+    def draw(rng):
+        entries, diag = sample_contingency_table(
+            r, c, mask, strategy, rng=rng, max_restarts=budget,
+            retain_bit_levels=args.retain_levels, scan=args.scan,
+        )
+        return entries, {"entries": entries.tolist(), "diagnostics": diag.as_dict()}
+
+    return _run_samples(
+        args, out, fields, draw, lambda e: validate_table(e, r, c, mask, mode="integer")
+    )
+
+
 def cmd_sample_binary(args, out) -> int:
-    r = _int_list(args.rows)
-    c = _int_list(args.cols)
-    mask = _mask_array(args.mask, len(r), len(c))
+    r, c, mask, fields = _table_instance(args)
+    fields["strategy"] = args.strategy
     strategy = BinaryStrategy(
         kind=_binary_kind(args.strategy), oracle=_oracle(), refresh=not args.static_params
     )
     budget = _budget(args.max_restarts)
-    all_valid = True
-    for t in range(args.samples):
-        entries, diag = sample_binary_table(
-            r, c, mask, strategy, rng=batch_rng(args.seed, t), max_restarts=budget
-        )
-        if args.format == "csv":
-            _emit_csv(entries, t, out)
-            continue
-        payload = {
-            "schema": SCHEMA,
-            "command": "sample-binary",
-            "index": t,
-            "seed": args.seed,
-            "rows": r,
-            "cols": c,
-            "mask": _mask_cells(mask),
-            "strategy": args.strategy,
-            "entries": entries.tolist(),
-            "diagnostics": diag.as_dict(),
-        }
-        if args.validate:
-            ok = validate_table(entries, r, c, mask, mode="binary")
-            payload["valid"] = ok
-            all_valid = all_valid and ok
-        _emit(payload, out)
-    return 0 if all_valid else 1
+
+    def draw(rng):
+        entries, diag = sample_binary_table(r, c, mask, strategy, rng=rng, max_restarts=budget)
+        return entries, {"entries": entries.tolist(), "diagnostics": diag.as_dict()}
+
+    return _run_samples(
+        args, out, fields, draw, lambda e: validate_table(e, r, c, mask, mode="binary")
+    )
 
 
 def cmd_sample_latin(args, out) -> int:
     strategy = BinaryStrategy(kind=_binary_kind(args.strategy), oracle=_oracle())
     policy = RestartPolicy(scope=args.policy, budget=_budget(args.budget))
-    all_valid = True
-    for t in range(args.samples):
-        square, diag = sample_latin_square(
-            args.n, strategy, policy, rng=batch_rng(args.seed, t)
-        )
+
+    def draw(rng):
+        square, diag = sample_latin_square(args.n, strategy, policy, rng=rng)
         grid = [list(row) for row in square.values]
-        if args.format == "csv":
-            _emit_csv(np.asarray(grid), t, out)
-            continue
-        payload = {
-            "schema": SCHEMA,
-            "command": "sample-latin",
-            "index": t,
-            "seed": args.seed,
-            "n": args.n,
-            "strategy": args.strategy,
-            "policy": args.policy,
-            "square": grid,
-            "diagnostics": diag.as_dict(),
-        }
-        if args.validate:
-            ok = square.is_valid()
-            payload["valid"] = ok
-            all_valid = all_valid and ok
-        _emit(payload, out)
-    return 0 if all_valid else 1
+        return grid, {"square": grid, "diagnostics": diag.as_dict()}
+
+    fields = {"n": args.n, "strategy": args.strategy, "policy": args.policy}
+    return _run_samples(args, out, fields, draw, lambda grid: LatinSquare(grid).is_valid())
 
 
 def cmd_sample_partition(args, out) -> int:
     sampler = sample_distinct_partition if args.distinct else sample_partition
-    all_valid = True
-    for t in range(args.samples):
-        part = sampler(args.n, rng=batch_rng(args.seed, t), tilt=args.tilt)
-        payload = {
-            "schema": SCHEMA,
-            "command": "sample-partition",
-            "index": t,
-            "seed": args.seed,
-            "n": args.n,
-            "distinct": bool(args.distinct),
-            "parts": part.parts(),
-        }
-        if args.validate:
-            ok = sum(part.parts()) == args.n and (not args.distinct or part.is_distinct())
-            payload["valid"] = ok
-            all_valid = all_valid and ok
-        _emit(payload, out)
-    return 0 if all_valid else 1
+
+    def draw(rng):
+        part = sampler(args.n, rng=rng, tilt=args.tilt)
+        return part, {"parts": part.parts()}
+
+    def valid(part):
+        return sum(part.parts()) == args.n and (not args.distinct or part.is_distinct())
+
+    fields = {"n": args.n, "distinct": bool(args.distinct)}
+    return _run_samples(args, out, fields, draw, valid)
 
 
 def cmd_count(args, out) -> int:
@@ -255,24 +217,13 @@ def cmd_count(args, out) -> int:
     if args.latin:
         if args.n is None:
             raise ValueError("--latin needs --n")
-        payload["kind"] = "latin"
-        payload["n"] = args.n
-        payload["count"] = sum(1 for _ in oracle.iter_latin_squares(args.n))
+        count = sum(1 for _ in oracle.iter_latin_squares(args.n))
+        payload.update(kind="latin", n=args.n, count=count)
     else:
-        if args.rows is None or args.cols is None:
-            raise ValueError("table counts need --rows and --cols")
-        r = _int_list(args.rows)
-        c = _int_list(args.cols)
-        mask = _mask_array(args.mask, len(r), len(c))
-        kind = "binary" if args.binary else "integer"
-        count = (
-            oracle.count_binary_tables(r, c, mask)
-            if args.binary
-            else oracle.count_integer_tables(r, c, mask)
-        )
-        payload.update(
-            {"kind": kind, "rows": r, "cols": c, "mask": _mask_cells(mask), "count": count}
-        )
+        r, c, mask, fields = _table_instance(args, "table counts need --rows and --cols")
+        counter = oracle.count_binary_tables if args.binary else oracle.count_integer_tables
+        payload.update(fields, kind="binary" if args.binary else "integer")
+        payload["count"] = counter(r, c, mask)
     _emit(payload, out)
     return 0
 
@@ -280,28 +231,21 @@ def cmd_count(args, out) -> int:
 def _uniformity_outcomes(args, oracle):
     """Enumerate the instance's outcome keys and build a per-sample drawer."""
     if args.kind in ("ct", "binary"):
-        if args.rows is None or args.cols is None:
-            raise ValueError(f"kind {args.kind} needs --rows and --cols")
-        r = _int_list(args.rows)
-        c = _int_list(args.cols)
-        mask = _mask_array(args.mask, len(r), len(c))
+        r, c, mask, fields = _table_instance(args, f"kind {args.kind} needs --rows and --cols")
         if args.kind == "ct":
             keys = list(oracle.enumerate_integer_tables(r, c, mask))
+            sampler = sample_contingency_table
             strategy = BitSamplerStrategy(kind=args.strategy or "exact", oracle=oracle)
-
-            def draw(rng):
-                entries, _ = sample_contingency_table(r, c, mask, strategy, rng=rng)
-                return tuple(tuple(int(x) for x in row) for row in entries)
-
         else:
             keys = list(oracle.enumerate_binary_tables(r, c, mask))
+            sampler = sample_binary_table
             strategy = BinaryStrategy(kind=_binary_kind(args.strategy or "exact"), oracle=oracle)
 
-            def draw(rng):
-                entries, _ = sample_binary_table(r, c, mask, strategy, rng=rng)
-                return tuple(tuple(int(x) for x in row) for row in entries)
+        def draw(rng):
+            entries, _ = sampler(r, c, mask, strategy, rng=rng)
+            return tuple(map(tuple, entries.tolist()))
 
-        return keys, draw, {"rows": r, "cols": c, "mask": _mask_cells(mask)}
+        return keys, draw, fields
     if args.kind in ("latin", "partition") and args.n is None:
         raise ValueError(f"kind {args.kind} needs --n")
     if args.kind == "latin":
@@ -323,6 +267,7 @@ def _uniformity_outcomes(args, oracle):
 
 
 def cmd_test_uniformity(args, out) -> int:
+    chi_square_threshold(1, args.significance)  # rejects a bad level before any draw
     oracle = _oracle()
     keys, draw, instance = _uniformity_outcomes(args, oracle)
     if not keys:
@@ -356,34 +301,35 @@ def build_parser() -> _Parser:
     p = _Parser(prog="bittables", description="Margin-constrained table samplers.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt=False):
+    def common(sp, fmt=False, restarts=False):
+        if restarts:
+            sp.add_argument("--max-restarts", type=int, default=None)
         sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         sp.add_argument("--samples", type=int, default=1, help="number of samples")
         sp.add_argument("--validate", action="store_true", help="revalidate each sample")
         if fmt:
             sp.add_argument("--format", choices=["json", "csv"], default="json")
 
+    def table(sp, required=False):
+        sp.add_argument("--rows", required=required, help="comma-separated row sums")
+        sp.add_argument("--cols", required=required, help="comma-separated column sums")
+        sp.add_argument("--mask", default="", help="forced-zero cells 'i,j;i,j' (0-based)")
+
     sp = sub.add_parser("sample-ct", help="integer tables with fixed margins")
-    sp.add_argument("--rows", required=True, help="comma-separated row sums")
-    sp.add_argument("--cols", required=True, help="comma-separated column sums")
-    sp.add_argument("--mask", default="", help="forced-zero cells 'i,j;i,j' (0-based)")
+    table(sp, required=True)
     sp.add_argument("--strategy", choices=["exact", "approx"], default="approx",
                     help="exact is uniform but small-instance only; approx is biased")
     sp.add_argument("--scan", choices=["column", "row"], default="column")
     sp.add_argument("--retain-levels", action="store_true", help="keep bit planes")
-    sp.add_argument("--max-restarts", type=int, default=None)
-    common(sp, fmt=True)
+    common(sp, fmt=True, restarts=True)
     sp.set_defaults(func=cmd_sample_ct)
 
     sp = sub.add_parser("sample-binary", help="0/1 tables with fixed margins")
-    sp.add_argument("--rows", required=True)
-    sp.add_argument("--cols", required=True)
-    sp.add_argument("--mask", default="")
+    table(sp, required=True)
     sp.add_argument("--strategy", choices=["exact", "full-line", "tail-line"], default="full-line",
                     help=BINARY_STRATEGY_HELP)
     sp.add_argument("--static-params", action="store_true", help="freeze column parameters")
-    sp.add_argument("--max-restarts", type=int, default=None)
-    common(sp, fmt=True)
+    common(sp, fmt=True, restarts=True)
     sp.set_defaults(func=cmd_sample_binary)
 
     sp = sub.add_parser("sample-latin", help="Latin squares")
@@ -407,17 +353,13 @@ def build_parser() -> _Parser:
     kind.add_argument("--integer", action="store_true")
     kind.add_argument("--binary", action="store_true")
     kind.add_argument("--latin", action="store_true")
-    sp.add_argument("--rows")
-    sp.add_argument("--cols")
-    sp.add_argument("--mask", default="")
+    table(sp)
     sp.add_argument("--n", type=int, help="Latin order")
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("test-uniformity", help="chi-square check against the solution set")
     sp.add_argument("--kind", choices=["ct", "binary", "latin", "partition"], required=True)
-    sp.add_argument("--rows")
-    sp.add_argument("--cols")
-    sp.add_argument("--mask", default="")
+    table(sp)
     sp.add_argument("--n", type=int)
     sp.add_argument("--distinct", action="store_true")
     sp.add_argument("--strategy", default=None, help="sampler strategy (kind-dependent)")

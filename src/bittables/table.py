@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -21,8 +20,6 @@ __all__ = [
     "fill_in_place",
     "validate_table",
     "binary_feasible",
-    "table_to_json",
-    "table_from_json",
     "entries_to_csv",
     "entries_from_csv",
 ]
@@ -279,28 +276,6 @@ def binary_feasible(r_res, c_res, forced_zero=None) -> bool:
     col_nodes = np.concatenate([np.arange(m) + 1, cols_idx + m + 1, np.full(n, sink)])
     graph = csr_matrix((data, (row_nodes, col_nodes)), shape=(m + n + 2, m + n + 2))
     return int(maximum_flow(graph, src, sink).flow_value) == total
-
-
-def table_to_json(t: MaskedTable) -> str:
-    """Serialize dimensions, entries, and mask; deterministic byte output."""
-    obj = {
-        "rows": t.m,
-        "cols": t.n,
-        "entries": t.entries.tolist(),
-        "mask": t.mask.astype(int).tolist(),
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def table_from_json(s: str) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of `table_to_json`; returns (entries, mask) arrays."""
-    obj = json.loads(s)
-    m, n = int(obj["rows"]), int(obj["cols"])
-    entries = np.asarray(obj["entries"], dtype=np.int64)
-    mask = np.asarray(obj["mask"], dtype=bool)
-    if entries.shape != (m, n) or mask.shape != (m, n):
-        raise ValueError("entry or mask shape does not match declared dimensions")
-    return entries, mask
 
 
 def entries_to_csv(entries) -> str:

@@ -197,7 +197,7 @@ def test_infeasible_and_limit_errors():
     zero = np.eye(2, dtype=bool)
     with pytest.raises(InfeasibleError):
         sample_binary_table([2, 0], [1, 1], zero, seed=0)
-    with pytest.raises(OracleLimitError):
+    with pytest.raises(OracleLimitError, match=r"^binary instance 9x9 exceeds limit 8$"):
         sample_binary_table(
             [1] * 9, [1] * 9, strategy=BinaryStrategy(kind="exact"), seed=0
         )

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,10 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bittables.cli import main
+from bittables import cli
+from bittables.cli import build_parser, main
+from bittables.diagnostics import SamplerDiagnostics
 from bittables.table import entries_from_csv
 
 import oracles
+from test_acceptance import CLI_CASES
+
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 
 def run_cli(capsys, *argv):
@@ -229,3 +235,80 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 3
+
+
+def test_cli_golden_replay(capsys):
+    # recorded argv, exit code, stdout and stderr pin the CLI across commits,
+    # which criterion 09's reruns of one commit cannot; it holds every
+    # criterion-09 command
+    cases = json.loads(CLI_GOLDEN.read_text())
+    assert all(list(argv) in [case["argv"] for case in cases] for argv in CLI_CASES)
+    mismatched = []
+    for case in cases:
+        code = main(list(case["argv"]))
+        captured = capsys.readouterr()
+        if (code, captured.out, captured.err) != (case["exit"], case["stdout"], case["stderr"]):
+            mismatched.append(" ".join(case["argv"]))
+    assert not mismatched, mismatched
+
+
+def test_cli_flag_surface():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface, required = {}, {}
+    for name, sp in sub.choices.items():
+        actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        surface[name] = sorted(o for a in actions for o in a.option_strings)
+        required[name] = sorted(o for a in actions if a.required for o in a.option_strings)
+    table = ["--cols", "--mask", "--max-restarts", "--rows"]
+    sampling = ["--samples", "--seed", "--validate"]
+    assert surface == {
+        "sample-ct": sorted(table + sampling + ["--format", "--retain-levels", "--scan",
+                                                "--strategy"]),
+        "sample-binary": sorted(table + sampling + ["--format", "--static-params",
+                                                    "--strategy"]),
+        "sample-latin": sorted(sampling + ["--budget", "--format", "--n", "--policy",
+                                           "--strategy"]),
+        "sample-partition": sorted(sampling + ["--distinct", "--n", "--tilt"]),
+        "count": ["--binary", "--cols", "--integer", "--latin", "--mask", "--n", "--rows"],
+        "test-uniformity": ["--cols", "--distinct", "--kind", "--mask", "--n", "--rows",
+                            "--samples", "--seed", "--significance", "--strategy"],
+    }
+    assert required == {
+        "sample-ct": ["--cols", "--rows"],
+        "sample-binary": ["--cols", "--rows"],
+        "sample-latin": ["--n"],
+        "sample-partition": ["--n"],
+        "count": [],
+        "test-uniformity": ["--kind"],
+    }
+
+
+def test_validate_sets_exit_code_in_either_format(capsys, monkeypatch):
+    # a sampler that breaks its column sums must fail --validate under csv too
+    monkeypatch.setattr(
+        cli, "sample_binary_table",
+        lambda *a, **k: (np.array([[1, 1], [0, 0]]), SamplerDiagnostics()),
+    )
+    argv = ["sample-binary", "--rows", "1,1", "--cols", "1,1", "--validate"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1 and json.loads(out)["valid"] is False
+    assert run_cli(capsys, *argv, "--format", "csv") == (1, "1,1\n0,0\n")
+    assert run_cli(capsys, *argv[:-1], "--format", "csv") == (0, "1,1\n0,0\n")
+
+
+def test_significance_checked_before_any_draw(capsys, monkeypatch):
+    calls = []
+    draw = cli.sample_partition
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_partition", counted)
+    for bad in ("0", "1", "nan"):
+        code = main(["test-uniformity", "--kind", "partition", "--n", "6", "--samples", "50",
+                     "--significance", bad])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: significance must lie in (0, 1), got {float(bad)}\n"
+    assert calls == []

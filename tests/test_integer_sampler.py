@@ -15,7 +15,7 @@ from bittables import integer_sampler
 from bittables.binary_sampler import sample_binary_table
 from bittables.cli import main
 from bittables.counting import count_integer_tables
-from bittables.errors import ContradictionError, DeadStateError, InfeasibleError
+from bittables.errors import ContradictionError, DeadStateError, InfeasibleError, OracleLimitError
 from bittables.integer_sampler import (
     BitSamplerStrategy,
     approx_bit_weight,
@@ -155,6 +155,15 @@ def test_infeasible_instances_rejected():
         sample_binary_table([1.7, 1.2], [1, 1], seed=1)
     e, _ = sample_contingency_table(np.array([2, 1]), np.array([2, 1]), seed=1)
     assert e.sum(axis=1).tolist() == [2, 1]
+
+
+def test_exact_oracle_limit_errors():
+    # the exact branch's first count checks the instance against the oracle limits
+    exact = BitSamplerStrategy(kind="exact")
+    with pytest.raises(OracleLimitError, match=r"^integer instance 7x7 exceeds limit 6$"):
+        sample_contingency_table([1] * 7, [1] * 7, strategy=exact, seed=0)
+    with pytest.raises(OracleLimitError, match=r"^margin 13 exceeds integer counting limit 12$"):
+        sample_contingency_table([13, 1], [7, 7], strategy=exact, seed=0)
 
 
 def test_fully_masked_zero_instance():
@@ -341,7 +350,7 @@ def test_package_surface_is_its_all():
         for alias in node.names
     }
     assert imported == set(bittables.__all__)
-    assert len(bittables.__all__) == 40
+    assert len(bittables.__all__) == 38
     for name in bittables.__all__:
         assert getattr(bittables, name) is not None, name
     # kernel and decision helpers live in their modules, not in the package

@@ -13,8 +13,6 @@ from bittables.table import (
     entries_from_csv,
     fill_in_place,
     entries_to_csv,
-    table_from_json,
-    table_to_json,
     validate_table,
 )
 
@@ -250,18 +248,6 @@ def test_binary_feasibility_flow():
     # mask leaves enough cells but in the wrong pattern
     z = _mask(2, 2, [(0, 0), (1, 0)])
     assert not binary_feasible([1, 1], [1, 1], z)
-
-
-def test_json_round_trip():
-    t = MaskedTable.from_margins([2, 1], [1, 2], _mask(2, 2, [(1, 0)]))
-    t.finalize(0, 0, 1)
-    s = table_to_json(t)
-    assert table_to_json(t) == s  # deterministic bytes
-    entries, mask = table_from_json(s)
-    assert np.array_equal(entries, t.entries)
-    assert np.array_equal(mask, t.mask)
-    with pytest.raises(ValueError):
-        table_from_json('{"rows":2,"cols":2,"entries":[[1]],"mask":[[0]]}')
 
 
 def test_csv_round_trip():
