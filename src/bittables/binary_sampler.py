@@ -1,9 +1,11 @@
 """Entry-by-entry sampler for 0/1 tables with fixed margins.
 
-Cells are decided in column-major order on one table per attempt; dead states
-restart it.  Under "full-line" each candidate bit is filled in place, weighted
-by its proposal probability times a Poisson-binomial line weight, and
-retracted; "exact" weighs completion counts.  The chosen bit's fill is kept.
+`sample_binary_table` checks the instance and runs `draw_binary_table`, the
+scan the Latin cascade calls directly.  Cells are decided in column-major
+order on one table per attempt; dead states restart it.  Under "full-line"
+each candidate bit is filled in place, weighted by its proposal probability
+times a Poisson-binomial line weight, and retracted; "exact" weighs
+completion counts.  The chosen bit's fill is kept.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .table import MaskedTable, binary_feasible, deterministic_fill, fill_in_pla
 
 __all__ = [
     "BinaryStrategy",
+    "draw_binary_table",
     "full_line_weight",
     "sample_binary_table",
 ]
@@ -126,6 +129,31 @@ def _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag):
     return bit
 
 
+def draw_binary_table(base: MaskedTable, strategy: BinaryStrategy, rng, max_restarts: int,
+                      diag: SamplerDiagnostics) -> np.ndarray:
+    """Fill a copy of `base`, known to hold a table, by the scan; return its entries.
+
+    Nothing here checks margins or feasibility.  Bits, restarts and dead
+    states are counted into `diag`, which the last dead state carries.
+    """
+    oracle = strategy.oracle if strategy.oracle is not None else shared_oracle()
+    p_static = None if strategy.refresh else _refresh_params(base)
+    base = deterministic_fill([], base, mode="binary").table
+    memo: dict = {}
+
+    def attempt():
+        t = base.copy()
+        for j in range(t.n):
+            for i in range(t.m):
+                if not t.mask[i, j]:
+                    _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag)
+        if not t.is_complete() or t.r_res.any() or t.c_res.any():
+            raise ContradictionError("scan ended with open cells or residual margins")
+        return t.entries.copy()
+
+    return run_with_restarts(attempt, max_restarts, diag, strategy.kind != "exact")
+
+
 def sample_binary_table(
     r,
     c,
@@ -147,29 +175,14 @@ def sample_binary_table(
     strategy = strategy if strategy is not None else BinaryStrategy()
     rng = rng if rng is not None else np.random.default_rng(seed)
     base = MaskedTable.from_margins(r, c, forced_zero)
-    oracle = strategy.oracle if strategy.oracle is not None else shared_oracle()
     if strategy.kind == "exact":
         # The cached count doubles as the feasibility check, and its query
         # the oracle's limit check; the max-flow test would cost more per
         # draw than the whole exact scan.
+        oracle = strategy.oracle if strategy.oracle is not None else shared_oracle()
         if oracle.count_binary_tables(base.r_res, base.c_res, base.mask) == 0:
             raise InfeasibleError("no binary table matches the margins and mask")
     elif not binary_feasible(base.r_res, base.c_res, base.mask):
         raise InfeasibleError("no binary table matches the margins and mask")
-    p_static = None if strategy.refresh else _refresh_params(base)
-    base = deterministic_fill([], base, mode="binary").table
-    memo: dict = {}
     diag = SamplerDiagnostics()
-
-    def attempt():
-        t = base.copy()
-        for j in range(t.n):
-            for i in range(t.m):
-                if not t.mask[i, j]:
-                    _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag)
-        if not t.is_complete() or t.r_res.any() or t.c_res.any():
-            raise ContradictionError("scan ended with open cells or residual margins")
-        return t.entries.copy()
-
-    entries = run_with_restarts(attempt, max_restarts, diag, strategy.kind != "exact")
-    return entries, diag
+    return draw_binary_table(base, strategy, rng, max_restarts, diag), diag

@@ -229,17 +229,18 @@ def cmd_count(args, out) -> int:
 
 
 def _uniformity_outcomes(args, oracle):
-    """Enumerate the instance's outcome keys and build a per-sample drawer."""
+    """Outcome keys, a per-sample drawer, and instance fields naming the strategy."""
     if args.kind in ("ct", "binary"):
         r, c, mask, fields = _table_instance(args, f"kind {args.kind} needs --rows and --cols")
+        fields["strategy"] = args.strategy or "exact"
         if args.kind == "ct":
             keys = list(oracle.enumerate_integer_tables(r, c, mask))
             sampler = sample_contingency_table
-            strategy = BitSamplerStrategy(kind=args.strategy or "exact", oracle=oracle)
+            strategy = BitSamplerStrategy(kind=fields["strategy"], oracle=oracle)
         else:
             keys = list(oracle.enumerate_binary_tables(r, c, mask))
             sampler = sample_binary_table
-            strategy = BinaryStrategy(kind=_binary_kind(args.strategy or "exact"), oracle=oracle)
+            strategy = BinaryStrategy(kind=_binary_kind(fields["strategy"]), oracle=oracle)
 
         def draw(rng):
             entries, _ = sampler(r, c, mask, strategy, rng=rng)
@@ -250,13 +251,16 @@ def _uniformity_outcomes(args, oracle):
         raise ValueError(f"kind {args.kind} needs --n")
     if args.kind == "latin":
         keys = list(oracle.iter_latin_squares(args.n))
-        strategy = BinaryStrategy(kind=_binary_kind(args.strategy or "full-line"), oracle=oracle)
+        fields = {"n": args.n, "strategy": args.strategy or "full-line"}
+        strategy = BinaryStrategy(kind=_binary_kind(fields["strategy"]), oracle=oracle)
 
         def draw(rng):
             square, _ = sample_latin_square(args.n, strategy, rng=rng)
             return square.values
 
-        return keys, draw, {"n": args.n}
+        return keys, draw, fields
+    if args.strategy is not None:
+        raise ValueError("kind partition takes no --strategy")
     keys = list(enumerate_partitions(args.n, distinct=args.distinct))
     sampler = sample_distinct_partition if args.distinct else sample_partition
 

@@ -85,32 +85,18 @@ class CountOracle:
         self.max_latin_order = max_latin_order
         self._cache: dict = {}
 
-    # -- limit checks ------------------------------------------------------
-
-    def check_integer_limits(self, r, c) -> None:
-        if len(r) > self.max_integer_dim or len(c) > self.max_integer_dim:
-            raise OracleLimitError(
-                f"integer instance {len(r)}x{len(c)} exceeds limit {self.max_integer_dim}"
-            )
-        top = max(max(r, default=0), max(c, default=0))
-        if top > self.max_integer_margin:
+    def _query(self, kind, r, c, forced_zero=None, forced_even=None) -> CountQuery:
+        """Build the query and check it against this oracle's limits; a
+        negative residual counts zero tables and never trips the margin limit."""
+        q = CountQuery.build(kind, r, c, forced_zero, forced_even)
+        dim = self.max_integer_dim if kind == "integer" else self.max_binary_dim
+        if len(q.r) > dim or len(q.c) > dim:
+            raise OracleLimitError(f"{kind} instance {len(q.r)}x{len(q.c)} exceeds limit {dim}")
+        top = max(q.r + q.c, default=0)
+        if kind == "integer" and top > self.max_integer_margin:
             raise OracleLimitError(
                 f"margin {top} exceeds integer counting limit {self.max_integer_margin}"
             )
-
-    def check_binary_limits(self, r, c) -> None:
-        if len(r) > self.max_binary_dim or len(c) > self.max_binary_dim:
-            raise OracleLimitError(
-                f"binary instance {len(r)}x{len(c)} exceeds limit {self.max_binary_dim}"
-            )
-
-    def _query(self, kind, r, c, forced_zero=None, forced_even=None) -> CountQuery:
-        """Build the query and check it against this oracle's limits."""
-        q = CountQuery.build(kind, r, c, forced_zero, forced_even)
-        if kind == "integer":
-            self.check_integer_limits([max(x, 0) for x in q.r], [max(x, 0) for x in q.c])
-        else:
-            self.check_binary_limits(q.r, q.c)
         return q
 
     # -- counting ----------------------------------------------------------

@@ -25,11 +25,6 @@ class SamplerDiagnostics:
     bit_levels: list | None = None
     failure_site: tuple | None = None
 
-    def absorb(self, other: "SamplerDiagnostics") -> None:
-        self.bits_consumed += other.bits_consumed
-        self.restarts += other.restarts
-        self.dead_states += other.dead_states
-
     def as_dict(self) -> dict:
         out = {
             "bits_consumed": self.bits_consumed,
@@ -69,10 +64,10 @@ def run_with_restarts(attempt, max_restarts: int, diag: SamplerDiagnostics, rest
 
     A restartable sampler gets up to `max_restarts` further attempts, any
     other none.  Every dead state and every restart is counted in `diag`: an
-    error that carries diagnostics of its own (a Latin cascade attempt whose
-    class table died) is absorbed into `diag`, any other counts one dead
-    state.  The last dead state is raised with `diag` attached.  A negative
-    `max_restarts` raises ValueError, a float TypeError.
+    error that carries diagnostics was counted into them where it was raised
+    (a Latin class table's scan counts into the cascade's record), a bare one
+    counts one dead state here.  The last dead state is raised with `diag`
+    attached.  A negative `max_restarts` raises ValueError, a float TypeError.
     """
     max_restarts = operator.index(max_restarts)
     if max_restarts < 0:
@@ -82,9 +77,7 @@ def run_with_restarts(attempt, max_restarts: int, diag: SamplerDiagnostics, rest
         try:
             return attempt()
         except DeadStateError as e:
-            if e.diagnostics is not None:
-                diag.absorb(e.diagnostics)
-            else:
+            if e.diagnostics is None:
                 diag.dead_states += 1
             if tries == budget:
                 raise DeadStateError(str(e), diagnostics=diag) from e

@@ -5,8 +5,8 @@ The table is generated one binary digit plane at a time, on one
 bit in scan order, zero-residual lines close immediately, and at level end
 all residual margins are even and halve for the next level.  Bit decisions
 come either from exact completion counts or from a factorized approximation
-of the conditional cell laws; the approximate route tries each candidate in
-place, weighs it and retracts it, and restarts on dead states.  Within a
+of the conditional cell laws; both try each candidate in place, weigh it and
+retract it, and the approximate route restarts on dead states.  Within a
 level the column parameters are fixed, so the approximate route memoises its
 line laws per level on the level's `ColumnParamScheme`: each column factor
 as one float, each conditioned cell law as its mass vector.  A level that
@@ -125,32 +125,28 @@ def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -
     return col_factor * float(conv[r_i]) if r_i < conv.size else 0.0
 
 
-def _apply_bit(t: MaskedTable, i: int, j: int, k: int, q, acc) -> list:
+def _apply_bit(t: MaskedTable, i: int, j: int, k: int) -> list:
     """Commit candidate bit k at open cell (i, j) of `t` and pin closed lines.
 
     The bit leaves the cell open with an even remainder; so do the open cells
     before it in column-major scan order, which hold their bit already.  A
     row, then a column, whose residual reaches zero has its open cells pinned
-    to remainder 0.  Multiplies into acc[0] the proposal probability of every
-    decision the move forces, the bit itself included, and returns the pinned
-    cells for `_retract_bit`.  Raises ContradictionError, with `t` restored,
-    when the branch strands a line.
+    to remainder 0.  Returns the pinned cells, in pinning order, for
+    `_retract_bit`.  Raises ContradictionError, with `t` restored, when the
+    branch strands a line.
     """
-    acc[0] *= (q[j] if k else 1.0) / (1.0 + q[j])
     t.r_res[i] -= k
     t.c_res[j] -= k
     pinned = []
     try:
         if t.r_res[i] == 0:
             for l in np.flatnonzero(~t.mask[i]).tolist():
-                acc[0] *= (1.0 - q[l] * q[l]) if l <= j else (1.0 - q[l])
                 t.finalize(i, l, 0)
                 pinned.append((i, l, 0))
                 if t.c_res[l] > 0 and t.open_c[l] == 0:
                     raise ContradictionError(f"column {l} stranded with residual {t.c_res[l]}")
         if t.c_res[j] == 0:
             for s in np.flatnonzero(~t.mask[:, j]).tolist():
-                acc[0] *= (1.0 - q[j] * q[j]) if s <= i else (1.0 - q[j])
                 t.finalize(s, j, 0)
                 pinned.append((s, j, 0))
                 if t.r_res[s] > 0 and t.open_r[s] == 0:
@@ -162,7 +158,7 @@ def _apply_bit(t: MaskedTable, i: int, j: int, k: int, q, acc) -> list:
 
 
 def _retract_bit(t: MaskedTable, i: int, j: int, k: int, pinned: list) -> None:
-    """Undo `_apply_bit(t, i, j, k, ...)`, which pinned `pinned`."""
+    """Undo `_apply_bit(t, i, j, k)`, which pinned `pinned`."""
     t.retract(pinned)
     t.r_res[i] += k
     t.c_res[j] += k
@@ -171,33 +167,32 @@ def _retract_bit(t: MaskedTable, i: int, j: int, k: int, pinned: list) -> None:
 def _decide(t, i, j, level, strategy, scheme, oracle, rng, diag) -> int:
     """Draw and commit the level bit of open cell (i, j) on `t`.
 
-    Exact: weights are completion counts, with the scanned open cells up to
-    (i, j) kept even.  Approx: each candidate is applied in place, weighted
-    by the proposal probability of the decisions it forces times its line
-    weight, and retracted; a candidate that strands a line weighs 0.
+    Each candidate is applied in place, weighed and retracted; one that
+    strands a line weighs 0.  Exact weighs its completion count, with the
+    scanned open cells up to (i, j) kept even.  Approx weighs the proposal
+    probability of the decisions it forces times its line weight.
     """
-    q = scheme.q
     weights = [0.0, 0.0]
     if strategy.kind == "exact":
         forced_even = ~t.mask
         forced_even[:, j + 1:] = False
         forced_even[i + 1:, j] = False
-        for k in (0, 1):
-            r, c = t.r_res.copy(), t.c_res.copy()
-            r[i] -= k
-            c[j] -= k
-            weights[k] = oracle.count_integer_tables(r, c, t.mask, forced_even)
-    else:
-        for k in (0, 1):
-            acc = [1.0]
-            try:
-                pinned = _apply_bit(t, i, j, k, q, acc)
-            except ContradictionError:
-                continue
-            weights[k] = acc[0] * approx_bit_weight(i, j, 0, t, scheme)
-            _retract_bit(t, i, j, k, pinned)
+    for k in (0, 1):
+        try:
+            pinned = _apply_bit(t, i, j, k)
+        except ContradictionError:
+            continue
+        if strategy.kind == "exact":  # pinned cells lie on zero-residual lines: same count
+            weights[k] = oracle.count_integer_tables(t.r_res, t.c_res, t.mask, forced_even)
+        else:
+            q = scheme.q
+            prod = (q[j] if k else 1.0) / (1.0 + q[j])
+            for s, l, _ in pinned:  # cells at or before (i, j) in scan order hold their bit
+                prod *= (1.0 - q[l] * q[l]) if (l, s) <= (j, i) else (1.0 - q[l])
+            weights[k] = prod * approx_bit_weight(i, j, 0, t, scheme)
+        _retract_bit(t, i, j, k, pinned)
     bit = choose_bit(weights[0], weights[1], rng, diag, (i, j), level)
-    _apply_bit(t, i, j, bit, q, [1.0])
+    _apply_bit(t, i, j, bit)
     return bit
 
 
@@ -216,7 +211,7 @@ def _run_levels(pre, levels, strategy, oracle, rng, diag) -> np.ndarray:
             for fi, fj, v in fill.forced:
                 assembled[fi, fj] += v << b
             t = fill.table
-        scheme = column_parameters(t.c_res, m - t.open_c, m)
+        scheme = column_parameters(t.c_res, m - t.open_c, m) if strategy.kind == "approx" else None
         for j in range(n):
             for i in range(m):
                 if not t.mask[i, j] and _decide(t, i, j, b, strategy, scheme, oracle, rng, diag):
@@ -273,8 +268,7 @@ def sample_contingency_table(
         raise InfeasibleError(f"margins admit no table under the mask: {e}") from e
     top = int(max(base.r_res.max(initial=0), base.c_res.max(initial=0)))
     levels = top.bit_length()
-    diag = SamplerDiagnostics()
-    diag.levels = levels
+    diag = SamplerDiagnostics(levels=levels)
     entries = run_with_restarts(
         lambda: _run_levels(pre, levels, strategy, oracle, rng, diag),
         max_restarts, diag, strategy.kind == "approx",

@@ -3,10 +3,15 @@
 A square on symbols 1..n is built from internal values v = symbol - 1.  At
 level i the cells are partitioned by v mod 2**i; within each residue class,
 the cells whose value gets bit i set form a binary table whose row and column
-sums are all equal, and a fresh uniform draw of that table decides the bit.
-After all levels every line carries each residue exactly once.  One pass over
-all levels and classes is one attempt of the shared restart loop,
+sums are all equal, and a fresh draw of that table decides the bit.  After
+all levels every line carries each residue exactly once.  One pass over all
+levels and classes is one attempt of the shared restart loop,
 `diagnostics.run_with_restarts`.
+
+Class tables go straight to the 0/1 scan, `draw_binary_table`, counting into
+the cascade's one diagnostics record.  Each line of a class is open in the
+same k >= target cells, and a k-regular bipartite graph is a union of k
+perfect matchings (König, 1916), so the table exists without a max-flow test.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary_sampler import BinaryStrategy, sample_binary_table
+from .binary_sampler import BinaryStrategy, draw_binary_table
 from .counting import iter_latin_squares
 from .diagnostics import SamplerDiagnostics, run_with_restarts
-from .errors import DeadStateError
+from .errors import ContradictionError, DeadStateError
+from .table import MaskedTable
 
 __all__ = [
     "LatinSquare",
@@ -125,8 +131,7 @@ def sample_latin_square(
     policy = policy if policy is not None else RestartPolicy()
     rng = rng if rng is not None else np.random.default_rng(seed)
     levels = (n - 1).bit_length()
-    total = SamplerDiagnostics()
-    total.levels = levels
+    diag = SamplerDiagnostics(levels=levels)
     if policy.scope == "retry_level":
         inner_budget, outer_attempts = policy.budget, 2
     elif policy.scope == "restart_all":
@@ -141,20 +146,19 @@ def sample_latin_square(
                 target = level_class_targets(n, i, b)
                 if target == 0:
                     continue  # bit i stays clear across the class
-                margins = [target] * n
                 # adding bit i leaves t mod 2**i alone, so the class is fixed for the level
-                forced_zero = t % (1 << i) != b
+                base = MaskedTable.from_margins([target] * n, [target] * n, t % (1 << i) != b)
+                k = base.open_r[0]
+                if k < target or (base.open_r != k).any() or (base.open_c != k).any():
+                    raise ContradictionError(f"residue class {b} at level {i} is not regular")
                 try:
-                    entries, d = sample_binary_table(
-                        margins, margins, forced_zero, strategy, rng=rng, max_restarts=inner_budget
-                    )
+                    entries = draw_binary_table(base, strategy, rng, inner_budget, diag)
                 except DeadStateError as e:
-                    total.failure_site = (i, b)
+                    diag.failure_site = (i, b)
                     raise DeadStateError(
-                        f"cascade dead at level {i}, residue {b}", diagnostics=e.diagnostics
+                        f"cascade dead at level {i}, residue {b}", diagnostics=diag
                     ) from e
-                total.absorb(d)
                 t += entries << i
         return LatinSquare(values=tuple(tuple(int(x) + 1 for x in row) for row in t))
 
-    return run_with_restarts(attempt, outer_attempts - 1, total, True), total
+    return run_with_restarts(attempt, outer_attempts - 1, diag, True), diag

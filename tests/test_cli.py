@@ -165,6 +165,28 @@ def test_uniformity_command_partition(capsys):
     assert obj["report"]["passed"] is True
 
 
+def test_uniformity_report_names_its_strategy(capsys, monkeypatch):
+    # the value given, or the kind's default when none is
+    base = {"ct": ["--rows", "2,2", "--cols", "2,2"], "binary": ["--rows", "1,1", "--cols", "1,1"],
+            "latin": ["--n", "2"]}
+    cases = [("ct", None, "exact"), ("ct", "approx", "approx"), ("binary", None, "exact"),
+             ("binary", "full-line", "full-line"), ("binary", "tail-line", "tail-line"),
+             ("latin", None, "full-line"), ("latin", "exact", "exact")]
+    for kind, given, want in cases:
+        flag = ["--strategy", given] if given else []
+        code, out = run_cli(capsys, "test-uniformity", "--kind", kind, *base[kind], *flag,
+                            "--samples", "20")
+        assert code == 0 and json.loads(out)["strategy"] == want, (kind, given)
+    # a partition has no strategy: one given is refused before any draw
+    calls = []
+    monkeypatch.setattr(cli, "sample_partition", lambda *a, **k: calls.append(a))
+    code = main(["test-uniformity", "--kind", "partition", "--n", "4", "--samples", "10",
+                 "--strategy", "exact"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (1, "", [])
+    assert captured.err == "error: kind partition takes no --strategy\n"
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample-ct", "--rows", "1,1"])  # missing --cols

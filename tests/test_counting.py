@@ -121,12 +121,15 @@ def test_latin_anchor_order_5():
 
 def test_oracle_limits():
     small = CountOracle(max_integer_dim=2, max_integer_margin=4, max_binary_dim=2, max_latin_order=2)
-    with pytest.raises(OracleLimitError):
+    with pytest.raises(OracleLimitError, match="^integer instance 3x3 exceeds limit 2$"):
         small.count_integer_tables([1, 1, 0], [1, 1, 0])
-    with pytest.raises(OracleLimitError):
+    with pytest.raises(OracleLimitError, match="^margin 5 exceeds integer counting limit 4$"):
         small.count_integer_tables([5, 0], [5, 0])
-    with pytest.raises(OracleLimitError):
+    with pytest.raises(OracleLimitError, match="^binary instance 3x3 exceeds limit 2$"):
         small.count_binary_tables([1, 1, 1], [1, 1, 1])
+    # binary margins have no limit, and a negative residual never trips the integer one
+    assert small.count_binary_tables([5, 0], [5, 0]) == 0
+    assert small.count_integer_tables([-7, 3], [-2, -2]) == 0
     with pytest.raises(OracleLimitError):
         small.iter_latin_squares(3)
     assert small.count_integer_tables([2, 2], [2, 2]) == 3

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from bittables import binary_sampler, latin
 from bittables.binary_sampler import BinaryStrategy
 from bittables.diagnostics import SamplerDiagnostics, run_with_restarts
-from bittables.errors import DeadStateError
+from bittables.errors import ContradictionError, DeadStateError, OracleLimitError
 from bittables.latin import (
     LatinSquare,
     RestartPolicy,
@@ -12,6 +13,7 @@ from bittables.latin import (
     sample_latin_square,
 )
 from bittables.seeding import batch_rng
+from bittables.table import binary_feasible
 
 # the worked order-5 square whose bits drive the cascade example
 SQUARE5 = (
@@ -176,22 +178,64 @@ def test_dead_state_surfaces_failure_site():
     }
 
 
-def test_run_with_restarts_absorbs_attached_diagnostics():
-    # an attempt's own record is absorbed once; a bare error counts one dead state
-    inner = SamplerDiagnostics(bits_consumed=5, restarts=2, dead_states=3)
+def test_run_with_restarts_counts_each_dead_state_once():
+    # an error carrying diagnostics was counted into them by the scan that
+    # raised it; a bare error counts one dead state in the loop
+    diag = SamplerDiagnostics()
     calls = []
 
     def attempt():
         calls.append(None)
         if len(calls) == 1:
-            raise DeadStateError("carried", diagnostics=inner)
+            diag.bits_consumed += 5
+            diag.dead_states += 1
+            raise DeadStateError("carried", diagnostics=diag)
         raise DeadStateError("bare")
 
-    diag = SamplerDiagnostics()
     with pytest.raises(DeadStateError, match="^bare$") as err:
         run_with_restarts(attempt, 1, diag, True)
     assert err.value.diagnostics is diag
-    assert diag.as_dict() == {"bits_consumed": 5, "restarts": 3, "dead_states": 4}
+    assert diag.as_dict() == {"bits_consumed": 5, "restarts": 1, "dead_states": 2}
+
+
+def test_cascade_never_runs_the_max_flow(monkeypatch):
+    # class tables are regular, so the cascade shows them feasible without
+    # the max-flow test of the 0/1 front door, and draws the same squares
+    want = {n: sample_latin_square(n, rng=batch_rng(5, n)) for n in (4, 8, 16)}
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the cascade ran the max-flow test")
+
+    monkeypatch.setattr(binary_sampler, "binary_feasible", refuse)
+    for n, (sq, diag) in want.items():
+        got, got_diag = sample_latin_square(n, rng=batch_rng(5, n))
+        assert got == sq and got_diag.as_dict() == diag.as_dict()
+    # a class open in fewer cells per line than its target is refused, not drawn
+    monkeypatch.setattr(latin, "level_class_targets", lambda n, i, b: n + 1)
+    with pytest.raises(ContradictionError, match="^residue class 0 at level 0 is not regular$"):
+        sample_latin_square(4, seed=0)
+
+
+def test_regular_class_masks_are_feasible():
+    # König: a k-regular bipartite graph is a union of k perfect matchings,
+    # so every margin t <= k fits a mask open in k cells of every line
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        k = int(rng.integers(1, n + 1))
+        # k disjoint permutation matrices: the shifts of one Latin square
+        base = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+        grid = rng.permutation(n)[base][rng.permutation(n)][:, rng.permutation(n)]
+        open_cells = grid < k
+        assert (open_cells.sum(axis=0) == k).all() and (open_cells.sum(axis=1) == k).all()
+        for t in range(1, k + 1):
+            assert binary_feasible([t] * n, [t] * n, ~open_cells), (n, k, t)
+
+
+def test_exact_cascade_keeps_the_oracle_limit():
+    # the exact class tables still count on the oracle, which refuses 9x9
+    with pytest.raises(OracleLimitError, match="^binary instance 9x9 exceeds limit 8$"):
+        sample_latin_square(9, BinaryStrategy(kind="exact"), seed=0)
 
 
 def test_retry_level_recovers_from_dead_state():

@@ -31,12 +31,10 @@ def test_negative_arguments_rejected():
     assert np.array_equal(a, batch_rng(1, 4).random(4))
 
 
-def test_diagnostics_absorb_and_dict():
-    a = SamplerDiagnostics(bits_consumed=5, restarts=1, dead_states=2)
-    b = SamplerDiagnostics(bits_consumed=3, restarts=0, dead_states=1)
-    a.absorb(b)
-    assert (a.bits_consumed, a.restarts, a.dead_states) == (8, 1, 3)
+def test_diagnostics_as_dict():
+    a = SamplerDiagnostics(bits_consumed=8, restarts=1, dead_states=3)
     d = a.as_dict()
+    assert (d["bits_consumed"], d["restarts"], d["dead_states"]) == (8, 1, 3)
     assert "levels" not in d and "failure_site" not in d and "bit_levels" not in d
     a.levels = 4
     a.failure_site = (1, 0)
