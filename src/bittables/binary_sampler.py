@@ -2,10 +2,12 @@
 
 `sample_binary_table` checks the instance and runs `draw_binary_table`, the
 scan the Latin cascade calls directly.  Cells are decided in column-major
-order on one table per attempt; dead states restart it.  Under "full-line"
-each candidate bit is filled in place, weighted by its proposal probability
-times a Poisson-binomial line weight, and retracted; "exact" weighs
-completion counts.  The chosen bit's fill is kept.
+order on one table per attempt; dead states restart it.  Candidates are
+tried on that table, not on copies.  Under "full-line" each candidate bit is
+filled in place, weighted by its proposal probability times a
+Poisson-binomial line weight, and retracted; "exact" commits the candidate
+cell alone, counts its completions and retracts it.  The chosen bit's fill
+is kept.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .counting import CountOracle, shared_oracle
 from .diagnostics import SamplerDiagnostics, choose_bit, run_with_restarts
 from .errors import ContradictionError, InfeasibleError
 from .pmf import poisson_binomial_point
-from .table import MaskedTable, binary_feasible, deterministic_fill, fill_in_place
+from .table import MaskedTable, binary_feasible, fill_in_place
 
 __all__ = [
     "BinaryStrategy",
@@ -93,19 +95,17 @@ def full_line_weight(i, j, k, t: MaskedTable, p, memo=None) -> float:
 def _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag):
     """Decide the bit at open cell (i, j) and commit its forced fill on `t`.
 
-    Exact: weights are completion counts.  Full-line: each candidate is filled
-    in place, weighted by the proposal probability of the cells it forces
-    times its line weight, and retracted; one that contradicts weighs 0.
+    Exact: each candidate is committed alone and weighed by the completion
+    count of `t`, then retracted.  Full-line: each candidate is filled in
+    place, weighted by the proposal probability of the cells it forces times
+    its line weight, and retracted; one that contradicts weighs 0.
     """
     if strategy.kind == "exact":
-        fz = t.mask.copy()
-        fz[i, j] = True
         counts = []
-        for k in (0, 1):
-            rr, cc = t.r_res.copy(), t.c_res.copy()
-            rr[i] -= k
-            cc[j] -= k
-            counts.append(oracle.count_binary_tables(rr, cc, fz))
+        for k in (0, 1):  # on a fixed point both bits fit the cell's residuals
+            t.finalize(i, j, k)
+            counts.append(oracle.count_binary_tables(t.r_res, t.c_res, t.mask))
+            t.retract(((i, j, k),))
         bit = choose_bit(counts[0], counts[1], rng, diag, (i, j))
         fill_in_place([(i, j, bit)], t, "binary")
         return bit
@@ -133,12 +133,13 @@ def draw_binary_table(base: MaskedTable, strategy: BinaryStrategy, rng, max_rest
                       diag: SamplerDiagnostics) -> np.ndarray:
     """Fill a copy of `base`, known to hold a table, by the scan; return its entries.
 
+    `base` is filled in place first, so it must be the caller's to give up.
     Nothing here checks margins or feasibility.  Bits, restarts and dead
     states are counted into `diag`, which the last dead state carries.
     """
     oracle = strategy.oracle if strategy.oracle is not None else shared_oracle()
     p_static = None if strategy.refresh else _refresh_params(base)
-    base = deterministic_fill([], base, mode="binary").table
+    fill_in_place((), base, "binary", range(base.m + base.n))
     memo: dict = {}
 
     def attempt():

@@ -1,9 +1,11 @@
 """Bitwise sampler for nonnegative integer tables with fixed margins.
 
 The table is generated one binary digit plane at a time, on one
-`MaskedTable` per attempt.  Within a level every open cell receives its low
-bit in scan order, zero-residual lines close immediately, and at level end
-all residual margins are even and halve for the next level.  Bit decisions
+`MaskedTable` per attempt, the attempt's only copy.  Within a level every
+open cell receives its low bit in scan order, zero-residual lines close
+immediately, and at level end all residual margins are even and halve for
+the next level.  The front door, every level start and every bit trial
+propagate forced cells in place through `table.fill_in_place`.  Bit decisions
 come either from exact completion counts or from a factorized approximation
 of the conditional cell laws; both try each candidate in place, weigh it and
 retract it, and the approximate route restarts on dead states.  Within a
@@ -24,7 +26,7 @@ from .counting import CountOracle, shared_oracle
 from .diagnostics import SamplerDiagnostics, choose_bit, run_with_restarts
 from .errors import ConditioningError, ContradictionError, DeadStateError, InfeasibleError
 from .pmf import ColumnParamScheme, column_parameters, conditioned_cell_pmf, mixed_column_sum_pmf
-from .table import MaskedTable, deterministic_fill
+from .table import MaskedTable, fill_in_place
 
 __all__ = [
     "BitSamplerStrategy",
@@ -126,35 +128,25 @@ def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -
 
 
 def _apply_bit(t: MaskedTable, i: int, j: int, k: int) -> list:
-    """Commit candidate bit k at open cell (i, j) of `t` and pin closed lines.
+    """Commit candidate bit k at open cell (i, j) of `t` and close spent lines.
 
     The bit leaves the cell open with an even remainder; so do the open cells
-    before it in column-major scan order, which hold their bit already.  A
-    row, then a column, whose residual reaches zero has its open cells pinned
-    to remainder 0.  Returns the pinned cells, in pinning order, for
-    `_retract_bit`.  Raises ContradictionError, with `t` restored, when the
-    branch strands a line.
+    before it in column-major scan order, which hold their bit already.  Row
+    i, then column j, closes under `fill_in_place`'s zero-residual rule if
+    its residual is spent.  Returns the pinned cells, row i's in column
+    order then column j's in row order, for `_retract_bit`.  Raises
+    ContradictionError, with `t` restored, when the branch strands a line.
     """
     t.r_res[i] -= k
     t.c_res[j] -= k
-    pinned = []
+    if t.r_res[i] and t.c_res[j]:  # neither line is spent: nothing to pin
+        return []
     try:
-        if t.r_res[i] == 0:
-            for l in np.flatnonzero(~t.mask[i]).tolist():
-                t.finalize(i, l, 0)
-                pinned.append((i, l, 0))
-                if t.c_res[l] > 0 and t.open_c[l] == 0:
-                    raise ContradictionError(f"column {l} stranded with residual {t.c_res[l]}")
-        if t.c_res[j] == 0:
-            for s in np.flatnonzero(~t.mask[:, j]).tolist():
-                t.finalize(s, j, 0)
-                pinned.append((s, j, 0))
-                if t.r_res[s] > 0 and t.open_r[s] == 0:
-                    raise ContradictionError(f"row {s} stranded with residual {t.r_res[s]}")
+        return fill_in_place((), t, "zero", (i, t.m + j))
     except ContradictionError:
-        _retract_bit(t, i, j, k, pinned)
+        t.r_res[i] += k
+        t.c_res[j] += k
         raise
-    return pinned
 
 
 def _retract_bit(t: MaskedTable, i: int, j: int, k: int, pinned: list) -> None:
@@ -196,21 +188,19 @@ def _decide(t, i, j, level, strategy, scheme, oracle, rng, diag) -> int:
     return bit
 
 
-def _run_levels(pre, levels, strategy, oracle, rng, diag) -> np.ndarray:
-    t = pre.table.copy()
+def _run_levels(base, levels, strategy, oracle, rng, diag) -> np.ndarray:
+    """One attempt: scan the levels on a copy of the filled `base`, return its entries."""
+    t = base.copy()
     m, n = t.m, t.n
-    assembled = np.zeros((m, n), dtype=np.int64)
-    for fi, fj, v in pre.forced:
-        assembled[fi, fj] += v
+    assembled = base.entries.copy()
     for b in range(levels):
         if b > 0:
             try:
-                fill = deterministic_fill([], t, mode="integer")
+                forced = fill_in_place((), t, "integer", range(m + n))
             except ContradictionError as e:
                 raise DeadStateError(f"level {b} start: {e}") from e
-            for fi, fj, v in fill.forced:
+            for fi, fj, v in forced:
                 assembled[fi, fj] += v << b
-            t = fill.table
         scheme = column_parameters(t.c_res, m - t.open_c, m) if strategy.kind == "approx" else None
         for j in range(n):
             for i in range(m):
@@ -246,31 +236,30 @@ def sample_contingency_table(
     order; `max_restarts` bounds dead-state restarts of the approximate
     strategy.  Raises InfeasibleError when propagation proves the margins
     inconsistent, DeadStateError when the restart budget runs out and
-    ValueError when `max_restarts` is negative.
+    ValueError when `max_restarts` is negative.  Margin and mask errors name
+    the caller's rows and columns under either scan; the row scan runs as
+    the column scan of the transpose, so its dead states name cells of that.
     """
     strategy = strategy if strategy is not None else BitSamplerStrategy()
     if scan not in ("column", "row"):
         raise ValueError(f"unknown scan order {scan!r}")
-    transposed = scan == "row"
-    if transposed:
-        r, c = c, r
-        if forced_zero is not None:
-            forced_zero = np.asarray(forced_zero, dtype=bool).T
     rng = rng if rng is not None else np.random.default_rng(seed)
     base = MaskedTable.from_margins(r, c, forced_zero)
     oracle = strategy.oracle if strategy.oracle is not None else shared_oracle()
     if strategy.kind == "exact":  # the count's query checks the oracle's limits
         if oracle.count_integer_tables(base.r_res, base.c_res, base.mask) == 0:
             raise InfeasibleError("margins admit no table under the mask")
+    levels = int(max(base.r_res.max(initial=0), base.c_res.max(initial=0))).bit_length()
     try:
-        pre = deterministic_fill([], base, mode="integer")
+        fill_in_place((), base, "integer", range(base.m + base.n))
     except ContradictionError as e:
         raise InfeasibleError(f"margins admit no table under the mask: {e}") from e
-    top = int(max(base.r_res.max(initial=0), base.c_res.max(initial=0)))
-    levels = top.bit_length()
+    transposed = scan == "row"
+    if transposed:  # the row scan is the column scan of the transpose
+        base = MaskedTable(base.entries.T, base.mask.T, base.c_res, base.r_res)
     diag = SamplerDiagnostics(levels=levels)
     entries = run_with_restarts(
-        lambda: _run_levels(pre, levels, strategy, oracle, rng, diag),
+        lambda: _run_levels(base, levels, strategy, oracle, rng, diag),
         max_restarts, diag, strategy.kind == "approx",
     )
     if retain_bit_levels:

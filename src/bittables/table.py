@@ -1,4 +1,7 @@
-"""Margin-constrained table state: masks, residuals, open counts, forced fills, validation."""
+"""Margin-constrained table state: masks, residuals, open counts, forced fills, validation.
+
+`fill_in_place` is the package's one propagation routine, run by every sampler decision.
+"""
 
 from __future__ import annotations
 
@@ -130,100 +133,95 @@ class FillResult:
     table: MaskedTable
 
 
-def _fill_inplace(t: MaskedTable, seeds, mode: str, forced: list, rescan: bool = True) -> None:
-    """Apply seeds then propagate forced values to a fixed point, in place.
-
-    Rules: a line with zero residual zeroes its open cells; a binary line
-    whose residual equals its open-cell count sets them all to 1; an integer
-    line with a single open cell takes the whole residual.  Raises
-    ContradictionError when no completion exists.  `rescan=False` skips the
-    initial pass over all lines and only propagates outward from the seeds;
-    correct only when the input state is already a fixed point.
-    """
-    if mode not in ("integer", "binary"):
-        raise ValueError(f"unknown mode {mode!r}")
-    dirty: deque = deque()
-    queued = set()
-
-    def enqueue(kind, idx):
-        if (kind, idx) not in queued:
-            queued.add((kind, idx))
-            dirty.append((kind, idx))
-
-    def commit(i, j, value):
-        if mode == "binary" and value not in (0, 1):
-            raise ContradictionError(f"binary cell ({i}, {j}) assigned {value}")
-        t.finalize(i, j, value)
-        forced.append((i, j, value))
-        enqueue("r", i)
-        enqueue("c", j)
-
-    for i, j, value in seeds:
-        commit(int(i), int(j), int(value))
-    if rescan:
-        for i in range(t.m):
-            enqueue("r", i)
-        for j in range(t.n):
-            enqueue("c", j)
-
-    while dirty:
-        kind, idx = dirty.popleft()
-        queued.discard((kind, idx))
-        if kind == "r":
-            res, n_open, line = int(t.r_res[idx]), int(t.open_r[idx]), t.mask[idx]
-        else:
-            res, n_open, line = int(t.c_res[idx]), int(t.open_c[idx]), t.mask[:, idx]
-        if n_open == 0:
-            if res != 0:
-                raise ContradictionError(f"line {kind}{idx} has residual {res} and no open cells")
-            continue
-        if res == 0:
-            value = 0
-        elif mode == "binary":
-            if res > n_open:
-                raise ContradictionError(
-                    f"line {kind}{idx} needs {res} ones in {n_open} open cells"
-                )
-            if res < n_open:
-                continue
-            value = 1
-        elif n_open == 1:
-            value = res
-        else:
-            continue
-        for x in np.flatnonzero(~line):
-            i, j = (idx, x) if kind == "r" else (x, idx)
-            commit(i, j, value)
-
-
 def deterministic_fill(seeds, t: MaskedTable, mode: str = "integer") -> FillResult:
     """Apply seed assignments to a copy of `t` and propagate all forced cells.
 
-    Every line is checked, so `t` need not be a fixed point.  Returns the
-    forced list (seeds first, then derived cells in propagation order);
-    replaying it onto the input table reproduces the result.  The fixed
-    point does not depend on seed order.
+    `fill_in_place` from every line, on a copy: `t` need not be a fixed
+    point and is left as it was.  Returns the forced list (seeds first, then
+    derived cells in propagation order); replaying it onto the input table
+    reproduces the result.  The fixed point does not depend on seed order.
     """
     out = t.copy()
-    forced: list = []
-    _fill_inplace(out, seeds, mode, forced)
-    return FillResult(forced=forced, table=out)
+    return FillResult(forced=fill_in_place(seeds, out, mode, range(t.m + t.n)), table=out)
 
 
-def fill_in_place(seeds, t: MaskedTable, mode: str) -> list:
-    """Apply seeds to `t` itself, propagating outward from them only.
+def fill_in_place(seeds, t: MaskedTable, mode: str, lines=()) -> list:
+    """Commit seed assignments on `t` itself and propagate forced cells.
 
-    On a fixed point `t` (as `deterministic_fill` leaves it) this commits the
-    forced list `deterministic_fill` returns, in order.  `t.retract(forced)`
-    undoes it; on ContradictionError `t` is restored before the raise.
+    Line x is row x for x < t.m and column x - t.m otherwise.  Propagation
+    starts from the lines of the seeds, then from `lines`: none suffice when
+    `t` is a fixed point of the mode, every line when it need not be.  Each
+    mode closes a line whose residual is spent (its open cells take 0) and
+    refuses a line left with residual and no open cells.  "binary" also
+    fills a line whose residual equals its open count with ones; "integer"
+    gives a line's only open cell the whole residual; "zero" adds no rule,
+    for a bit-level scan, whose open cells still take even remainders.
+    Returns the forced list, seeds first, for `t.retract`.  On
+    ContradictionError `t` is restored before the raise.
     """
+    if mode not in ("integer", "binary", "zero"):
+        raise ValueError(f"unknown mode {mode!r}")
+    m = t.m
     forced: list = []
+    queue = deque()
+    queued = [False] * (m + t.n)
+    cells = [(int(i), int(j), int(v)) for i, j, v in seeds]
+    for i, j, v in cells:
+        if mode == "binary" and v not in (0, 1):
+            raise ContradictionError(f"binary cell ({i}, {j}) assigned {v}")
     try:
-        _fill_inplace(t, seeds, mode, forced, rescan=False)
+        while True:
+            for cell in cells:
+                i, j, value = cell
+                t.finalize(i, j, value)
+                forced.append(cell)
+                if not queued[i]:
+                    queued[i] = True
+                    queue.append(i)
+                if not queued[m + j]:
+                    queued[m + j] = True
+                    queue.append(m + j)
+            for x in lines:
+                if not queued[x]:
+                    queued[x] = True
+                    queue.append(x)
+            lines = cells = ()
+            while queue:
+                x = queue.popleft()
+                queued[x] = False
+                if x < m:
+                    kind, idx, res, n_open = "r", x, t.r_res.item(x), t.open_r.item(x)
+                else:
+                    kind, idx = "c", x - m
+                    res, n_open = t.c_res.item(idx), t.open_c.item(idx)
+                if n_open == 0:
+                    if res != 0:
+                        raise ContradictionError(
+                            f"line {kind}{idx} has residual {res} and no open cells"
+                        )
+                elif res == 0:
+                    value = 0
+                    break
+                elif mode == "binary":
+                    if res > n_open:
+                        raise ContradictionError(
+                            f"line {kind}{idx} needs {res} ones in {n_open} open cells"
+                        )
+                    if res == n_open:
+                        value = 1
+                        break
+                elif n_open == 1 and mode == "integer":
+                    value = res
+                    break
+            else:
+                return forced
+            if x < m:
+                cells = [(x, l, value) for l in np.flatnonzero(~t.mask[x]).tolist()]
+            else:
+                cells = [(s, idx, value) for s in np.flatnonzero(~t.mask[:, idx]).tolist()]
     except ContradictionError:
         t.retract(forced)
         raise
-    return forced
 
 
 def validate_table(entries, r, c, forced_zero=None, mode: str = "integer") -> bool:

@@ -47,7 +47,8 @@ def draw(case):
         e, diag = sample_binary_table(case["rows"], case["cols"], zero, strategy, rng=rng)
     else:
         strategy = BitSamplerStrategy(kind=case["kind"])
-        e, diag = sample_contingency_table(case["rows"], case["cols"], zero, strategy, rng=rng)
+        e, diag = sample_contingency_table(case["rows"], case["cols"], zero, strategy, rng=rng,
+                                           scan=case.get("scan", "column"))
     return e.tolist(), diag.as_dict()
 
 

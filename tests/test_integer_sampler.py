@@ -233,12 +233,15 @@ def test_bit_trial_retracts_in_place():
     # every level state a column-major scan reaches: each candidate bit,
     # applied and retracted, or refused midway, leaves all six arrays as
     # they were.  Closed cells, as earlier levels leave them, let a row's
-    # closure strand a column while its cells are being pinned.
+    # closure strand a column while its cells are being pinned.  A candidate
+    # that spends row i pins its open cells in column order, then the rest of
+    # a spent column j in row order; the approx proposal factor multiplies
+    # its terms in this order.
     rng = np.random.default_rng(11)
-    stranded = 0
+    stranded = spent_rows = spent_cols = 0
 
     def scan(t):
-        nonlocal stranded
+        nonlocal stranded, spent_rows, spent_cols
         for j in range(t.n):
             for i in range(t.m):
                 if t.mask[i, j]:
@@ -246,11 +249,20 @@ def test_bit_trial_retracts_in_place():
                 before = _state(t)
                 fits = []
                 for k in (0, 1):
+                    row, col = [], []
+                    if t.r_res[i] == k:
+                        row = [(i, l, 0) for l in range(t.n) if not t.mask[i, l]]
+                    if t.c_res[j] == k:
+                        col = [(s, j, 0) for s in range(t.m)
+                               if not t.mask[s, j] and (s, j, 0) not in row]
                     try:
                         pinned = integer_sampler._apply_bit(t, i, j, k)
                     except ContradictionError as e:
-                        stranded += "stranded" in str(e)
+                        stranded += "and no open cells" in str(e)
                     else:
+                        assert pinned == row + col
+                        spent_rows += bool(row)
+                        spent_cols += bool(col)
                         fits.append(k)
                         integer_sampler._retract_bit(t, i, j, k, pinned)
                     for a, b in zip(_state(t), before):
@@ -269,7 +281,33 @@ def test_bit_trial_retracts_in_place():
         except ContradictionError:
             continue
         scan(t)
-    assert stranded > 10
+    assert stranded > 10 and spent_rows > 20 and spent_cols > 20
+
+
+def test_draw_copies_its_table_once_per_attempt(monkeypatch):
+    # the front door and every level start fill in place; only an attempt
+    # copies the prepared table
+    copies = []
+    copy = MaskedTable.copy
+    monkeypatch.setattr(MaskedTable, "copy", lambda self: copies.append(1) or copy(self))
+    e, diag = sample_contingency_table([10, 56, 13], [20, 14, 18, 27], rng=batch_rng(1, 0))
+    assert diag.levels == 6 and diag.restarts == 0 and len(copies) == 1
+    copies.clear()
+    e, diag = sample_contingency_table([30] * 6, [30] * 6, rng=batch_rng(7, 2))
+    assert diag.restarts == 1 and len(copies) == 2
+
+
+def test_row_scan_errors_name_the_callers_table():
+    # the row scan checks and fills the caller's table before it transposes,
+    # so its errors read as the column scan's do
+    zero = np.zeros((3, 3), dtype=bool)
+    zero[0] = True
+    for scan in ("column", "row"):
+        with pytest.raises(InfeasibleError, match=r"line r0 has residual 2 and no open cells$"):
+            sample_contingency_table([2, 0, 1], [1, 1, 1], zero, scan=scan, seed=0)
+        with pytest.raises(ValueError, match=r"^mask shape \(3, 2\) does not match \(2, 3\)$"):
+            sample_contingency_table([2, 1], [1, 1, 1], np.zeros((3, 2), dtype=bool), scan=scan,
+                                     seed=0)
 
 
 def test_odd_residual_restarts_instead_of_failing(capsys):

@@ -162,6 +162,39 @@ def test_fixed_point_shortcut_is_equivalent():
                 _assert_state(t, _state(slow.table))
 
 
+def test_fill_from_every_line_equals_deterministic_fill():
+    # started from every line, the in-place fill needs no fixed point: it
+    # commits deterministic_fill's forced list and leaves its state, or
+    # raises its error with `t` untouched
+    rng = np.random.default_rng(31)
+    fills = raised = 0
+    for _ in range(300):
+        mode = ("binary", "integer")[int(rng.integers(0, 2))]
+        m, n = rng.integers(1, 6, size=2)
+        r = rng.integers(0, 3 if mode == "binary" else 6, size=m)
+        c = np.bincount(rng.integers(0, n, size=int(r.sum())), minlength=n)
+        t = MaskedTable.from_margins(r, c, rng.random((m, n)) < 0.3)
+        opens = np.argwhere(~t.mask)
+        seeds = []
+        if len(opens) and rng.random() < 0.5:
+            i, j = opens[rng.integers(0, len(opens))]
+            seeds = [(i, j, int(rng.integers(0, 1 + min(t.r_res[i], t.c_res[j], 1))))]
+        before = _state(t)
+        try:
+            slow = deterministic_fill(seeds, t, mode)
+        except ContradictionError as e:
+            with pytest.raises(ContradictionError) as fast_err:
+                fill_in_place(seeds, t, mode, range(m + n))
+            assert str(fast_err.value) == str(e)
+            _assert_state(t, before)
+            raised += 1
+            continue
+        assert fill_in_place(seeds, t, mode, range(m + n)) == slow.forced
+        _assert_state(t, _state(slow.table))
+        fills += len(slow.forced) > len(seeds)
+    assert fills > 50 and raised > 20
+
+
 def test_retract_undoes_fill_in_place():
     for mode in ("binary", "integer"):
         rng, states = _random_fixed_points(7, mode, 60)
