@@ -50,14 +50,14 @@ class BinaryStrategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
 
 
-def _refresh_params(t: MaskedTable) -> np.ndarray:
+def _refresh_params(t: MaskedTable) -> list:
     """Per-column success probabilities p[j] = c_res[j] / open cells of column j.
 
-    The one parameter rule: refreshed at every decision, or taken once from
-    the initial instance when `BinaryStrategy.refresh` is off.
+    Clipped to [0, 1]; a column with no open cells gets 0.0.  The one
+    parameter rule: refreshed at every decision, or taken once from the
+    initial instance when `BinaryStrategy.refresh` is off.
     """
-    p = np.divide(t.c_res, t.open_c, out=np.zeros(t.n), where=t.open_c > 0)
-    return np.clip(p, 0.0, 1.0)
+    return [min(c / o, 1.0) if o > 0 and c > 0 else 0.0 for c, o in zip(t.c_res, t.open_c)]
 
 
 def _point(ps: np.ndarray, k: int, memo) -> float:
@@ -78,16 +78,15 @@ def full_line_weight(i, j, k, t: MaskedTable, p, memo=None) -> float:
     each cell an independent Bernoulli with its column's parameter p[l].
     Unreachable residuals give 0.0.  `memo`, one dict per draw, caches the factors.
     """
-    r_i = int(t.r_res[i]) - k
-    c_j = int(t.c_res[j]) - k
+    r_i = t.r_res[i] - k
+    c_j = t.c_res[j] - k
     if r_i < 0 or c_j < 0:
         return 0.0
-    row = np.flatnonzero(~t.mask[i])
-    row = row[row != j]
-    n_col = int(t.open_c[j]) - (not t.mask[i, j])
+    row = [l for l in t.open_in_row(i) if l != j]
+    n_col = t.open_c[j] - (not t.closed[i][j])
     if r_i > len(row) or c_j > n_col:
         return 0.0
-    row_factor = _point(np.asarray(p, dtype=float)[row], r_i, memo)
+    row_factor = _point(np.array([p[l] for l in row], dtype=float), r_i, memo)
     col_factor = _point(np.full(n_col, p[j], dtype=float), c_j, memo)
     return float(row_factor * col_factor)
 
@@ -104,7 +103,7 @@ def _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag):
         counts = []
         for k in (0, 1):  # on a fixed point both bits fit the cell's residuals
             t.finalize(i, j, k)
-            counts.append(oracle.count_binary_tables(t.r_res, t.c_res, t.mask))
+            counts.append(oracle.count_binary_tables(t.r_res, t.c_res, t.closed))
             t.retract(((i, j, k),))
         bit = choose_bit(counts[0], counts[1], rng, diag, (i, j))
         fill_in_place([(i, j, bit)], t, "binary")
@@ -146,11 +145,11 @@ def draw_binary_table(base: MaskedTable, strategy: BinaryStrategy, rng, max_rest
         t = base.copy()
         for j in range(t.n):
             for i in range(t.m):
-                if not t.mask[i, j]:
+                if not t.closed[i][j]:
                     _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag)
-        if not t.is_complete() or t.r_res.any() or t.c_res.any():
+        if not t.is_complete() or any(t.r_res) or any(t.c_res):
             raise ContradictionError("scan ended with open cells or residual margins")
-        return t.entries.copy()
+        return t.entries
 
     return run_with_restarts(attempt, max_restarts, diag, strategy.kind != "exact")
 

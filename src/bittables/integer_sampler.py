@@ -10,14 +10,15 @@ come either from exact completion counts or from a factorized approximation
 of the conditional cell laws; both try each candidate in place, weigh it and
 retract it, and the approximate route restarts on dead states.  Within a
 level the column parameters are fixed, so the approximate route memoises its
-line laws per level on the level's `ColumnParamScheme`: each column factor
-as one float, each conditioned cell law as its mass vector.  A level that
-ends with an odd residual, which the factorized weights cannot see coming,
-is a dead state too.
+line laws per level on the level's `ColumnParamScheme`, as mass vectors: each
+column law, which the scored cell's conditioned law shares, and each
+conditioned cell law.  A level that ends with an odd residual, which the
+factorized weights cannot see coming, is a dead state too.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,24 +57,24 @@ class BitSamplerStrategy:
 # per-level memos are keyed by the value of q: columns sharing q share laws.
 
 
-def _column_factor(scheme: ColumnParamScheme, q, n_even: int, n_plain: int, c: int) -> float:
+def _column_law(scheme: ColumnParamScheme, q, n_even: int, n_plain: int, c: int) -> np.ndarray:
     key = (float(q), n_even, n_plain, c)
-    factor = scheme.column_factors.get(key)
-    if factor is None:
+    law = scheme.column_laws.get(key)
+    if law is None:
         law = mixed_column_sum_pmf(q, n_even, n_plain, c)
-        factor = float(law[c]) if c < len(law) else 0.0
-        scheme.column_factors[key] = factor
-    return factor
+        law.flags.writeable = False
+        scheme.column_laws[key] = law
+    return law
 
 
 def _cell_law(scheme: ColumnParamScheme, q, cell_even: bool, rest_even: int, rest_plain: int,
-              c: int) -> np.ndarray | None:
+              c: int, total=None) -> np.ndarray | None:
     """Mass vector of the conditioned cell law, None where its column sum is unreachable."""
     key = (float(q), cell_even, rest_even, rest_plain, c)
     if key in scheme.cell_laws:
         return scheme.cell_laws[key]
     try:
-        masses = conditioned_cell_pmf(cell_even, q, rest_even, rest_plain, c)
+        masses = conditioned_cell_pmf(cell_even, q, rest_even, rest_plain, c, total)
         masses.flags.writeable = False
     except ConditioningError:
         masses = None
@@ -96,28 +97,28 @@ def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -
     memoised on `scheme`.
     """
     q = scheme.q
-    r_i = int(t.r_res[i]) - k
-    c_j = int(t.c_res[j]) - k
+    r_i = t.r_res[i] - k
+    c_j = t.c_res[j] - k
     if r_i < 0 or c_j < 0:
         return 0.0
-    open_cells = ~t.mask
-    col_open = t.open_c.tolist()
-    above = int(np.count_nonzero(open_cells[:i, j]))  # open cells of column j above row i
-    n_even = above + int(open_cells[i, j])
-    col_factor = _column_factor(scheme, q[j], n_even, col_open[j] - n_even, c_j)
+    col_open = t.open_c
+    above = bisect_left(t.open_in_col(j), i)  # open cells of column j above row i
+    n_even = above + (not t.closed[i][j])
+    col_law = _column_law(scheme, q[j], n_even, col_open[j] - n_even, c_j)
+    col_factor = float(col_law[c_j]) if c_j < len(col_law) else 0.0
     if col_factor <= 0.0:
         return 0.0
     conv = None
-    for l in np.flatnonzero(open_cells[i]).tolist():
+    for l in t.open_in_row(i):
+        c_l, total = t.c_res[l], None
         if l < j:
             cell_even, rest_even = True, col_open[l] - 1
-        elif l == j:
-            cell_even, rest_even = True, above
+        elif l == j:  # the cell is open: its whole column's law is the column factor's
+            cell_even, rest_even, c_l, total = True, above, c_j, col_law
         else:
             cell_even, rest_even = False, 0
         rest_plain = col_open[l] - 1 - rest_even
-        c_l = c_j if l == j else int(t.c_res[l])
-        cell = _cell_law(scheme, q[l], cell_even, rest_even, rest_plain, c_l)
+        cell = _cell_law(scheme, q[l], cell_even, rest_even, rest_plain, c_l, total)
         if cell is None:
             return 0.0
         # row law truncated to {0..r_i} after every convolution
@@ -166,16 +167,15 @@ def _decide(t, i, j, level, strategy, scheme, oracle, rng, diag) -> int:
     """
     weights = [0.0, 0.0]
     if strategy.kind == "exact":
-        forced_even = ~t.mask
-        forced_even[:, j + 1:] = False
-        forced_even[i + 1:, j] = False
+        forced_even = [[not shut and (l, s) <= (j, i) for l, shut in enumerate(row)]
+                       for s, row in enumerate(t.closed)]
     for k in (0, 1):
         try:
             pinned = _apply_bit(t, i, j, k)
         except ContradictionError:
             continue
         if strategy.kind == "exact":  # pinned cells lie on zero-residual lines: same count
-            weights[k] = oracle.count_integer_tables(t.r_res, t.c_res, t.mask, forced_even)
+            weights[k] = oracle.count_integer_tables(t.r_res, t.c_res, t.closed, forced_even)
         else:
             q = scheme.q
             prod = (q[j] if k else 1.0) / (1.0 + q[j])
@@ -192,7 +192,7 @@ def _run_levels(base, levels, strategy, oracle, rng, diag) -> np.ndarray:
     """One attempt: scan the levels on a copy of the filled `base`, return its entries."""
     t = base.copy()
     m, n = t.m, t.n
-    assembled = base.entries.copy()
+    assembled = [row[:] for row in base.cells]
     for b in range(levels):
         if b > 0:
             try:
@@ -200,20 +200,21 @@ def _run_levels(base, levels, strategy, oracle, rng, diag) -> np.ndarray:
             except ContradictionError as e:
                 raise DeadStateError(f"level {b} start: {e}") from e
             for fi, fj, v in forced:
-                assembled[fi, fj] += v << b
-        scheme = column_parameters(t.c_res, m - t.open_c, m) if strategy.kind == "approx" else None
+                assembled[fi][fj] += v << b
+        scheme = (column_parameters(t.c_res, [m - o for o in t.open_c], m)
+                  if strategy.kind == "approx" else None)
         for j in range(n):
             for i in range(m):
-                if not t.mask[i, j] and _decide(t, i, j, b, strategy, scheme, oracle, rng, diag):
-                    assembled[i, j] += 1 << b
-        if np.any(t.r_res & 1) or np.any(t.c_res & 1):
+                if not t.closed[i][j] and _decide(t, i, j, b, strategy, scheme, oracle, rng, diag):
+                    assembled[i][j] += 1 << b
+        if any(x & 1 for x in t.r_res + t.c_res):
             # a line stranded off the scored row and column: restart
             raise DeadStateError(f"level {b} left an odd residual")
-        t.r_res >>= 1
-        t.c_res >>= 1
-    if np.any(t.r_res) or np.any(t.c_res):
+        t.r_res = [x >> 1 for x in t.r_res]
+        t.c_res = [x >> 1 for x in t.c_res]
+    if any(t.r_res) or any(t.c_res):
         raise ContradictionError("margins not exhausted after final level")
-    return assembled
+    return np.array(assembled, dtype=np.int64).reshape(m, n)
 
 
 def sample_contingency_table(
@@ -249,7 +250,7 @@ def sample_contingency_table(
     if strategy.kind == "exact":  # the count's query checks the oracle's limits
         if oracle.count_integer_tables(base.r_res, base.c_res, base.mask) == 0:
             raise InfeasibleError("margins admit no table under the mask")
-    levels = int(max(base.r_res.max(initial=0), base.c_res.max(initial=0))).bit_length()
+    levels = max(base.r_res + base.c_res, default=0).bit_length()
     try:
         fill_in_place((), base, "integer", range(base.m + base.n))
     except ContradictionError as e:

@@ -149,7 +149,7 @@ def sample_latin_square(
                 # adding bit i leaves t mod 2**i alone, so the class is fixed for the level
                 base = MaskedTable.from_margins([target] * n, [target] * n, t % (1 << i) != b)
                 k = base.open_r[0]
-                if k < target or (base.open_r != k).any() or (base.open_c != k).any():
+                if k < target or set(base.open_r + base.open_c) != {k}:
                     raise ContradictionError(f"residue class {b} at level {i} is not regular")
                 try:
                     entries = draw_binary_table(base, strategy, rng, inner_budget, diag)

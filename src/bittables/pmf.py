@@ -32,7 +32,7 @@ __all__ = [
 class ColumnParamScheme:
     """Per-column geometric parameters q[j] for one integer table level.
 
-    `column_factors` and `cell_laws` memoise the integer line laws under
+    `column_laws` and `cell_laws` memoise the integer line laws under
     these parameters (see `integer_sampler.approx_bit_weight`).  A sampler
     builds one scheme per bit level, so the memo lives exactly one level;
     its keys are bounded by the distinct parameters, the open cells per
@@ -40,7 +40,7 @@ class ColumnParamScheme:
     """
 
     q: np.ndarray
-    column_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    column_laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     cell_laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -165,23 +165,25 @@ def _even_cell_base(q: float, cap: int) -> np.ndarray:
 
 
 def conditioned_cell_pmf(
-    even_cell: bool, q: float, rest_even: int, rest_plain: int, c_res: int
+    even_cell: bool, q: float, rest_even: int, rest_plain: int, c_res: int, total=None
 ) -> np.ndarray:
     """Law of one column cell conditioned on its column summing to c_res.
 
     The cell is geometric(q) (plain) or twice-geometric(q**2) (even class);
     the rest of the column contributes `rest_even` even-class and
-    `rest_plain` plain cells.  Returns the masses on {0..c_res}.  Raises
-    ConditioningError when the column sum c_res has probability zero under
-    the joint model.
+    `rest_plain` plain cells.  `total`, the law of the whole column cell
+    included, is built here unless the caller already holds it.  Returns
+    the masses on {0..c_res}.  Raises ConditioningError when the column sum
+    c_res has probability zero under the joint model.
     """
     if c_res < 0:
         raise ConditioningError(f"column residual {c_res} is negative")
     base = _even_cell_base(q, c_res) if even_cell else geometric_dist(q, c_res)
     rest = mixed_column_sum_pmf(q, rest_even, rest_plain, c_res)
-    total = mixed_column_sum_pmf(
-        q, rest_even + (1 if even_cell else 0), rest_plain + (0 if even_cell else 1), c_res
-    )
+    if total is None:
+        total = mixed_column_sum_pmf(
+            q, rest_even + (1 if even_cell else 0), rest_plain + (0 if even_cell else 1), c_res
+        )
     denom = total[c_res] if c_res < len(total) else 0.0
     if denom <= 0.0:
         raise ConditioningError(

@@ -1,6 +1,9 @@
 """Margin-constrained table state: masks, residuals, open counts, forced fills, validation.
 
-`fill_in_place` is the package's one propagation routine, run by every sampler decision.
+`MaskedTable` keeps its state in Python ints and lists, which the per-cell
+loops read and write one scalar at a time; its `entries` and `mask` are fresh
+numpy copies.  `fill_in_place` is the package's one propagation routine, run
+by every sampler decision.
 """
 
 from __future__ import annotations
@@ -51,24 +54,28 @@ class MarginSpec:
 
 
 class MaskedTable:
-    """A partially determined table.
+    """A partially determined table, held in Python ints and lists.
 
-    `mask[i, j]` is True once cell (i, j) is finalized (including cells
-    forced to zero up front); `entries` holds finalized values and zeros
-    elsewhere.  `r_res`/`c_res` are the margins net of finalized cells, and
-    `open_r`/`open_c` count the open cells of each row and column.
+    `closed[i][j]` is True once cell (i, j) is finalized (including cells
+    forced to zero up front); `cells` holds finalized values and zeros
+    elsewhere, both as lists of row lists.  `r_res`/`c_res` are the margins
+    net of finalized cells, and `open_r`/`open_c` count the open cells of
+    each row and column, all lists of int.  `entries` and `mask` are fresh
+    numpy copies for vectorised callers; writing one leaves the table alone.
     """
 
-    __slots__ = ("m", "n", "entries", "mask", "r_res", "c_res", "open_r", "open_c")
+    __slots__ = ("m", "n", "cells", "closed", "r_res", "c_res", "open_r", "open_c")
 
     def __init__(self, entries, mask, r_res, c_res):
-        self.entries = np.asarray(entries, dtype=np.int64)
-        self.mask = np.asarray(mask, dtype=bool)
-        self.r_res = np.asarray(r_res, dtype=np.int64)
-        self.c_res = np.asarray(c_res, dtype=np.int64)
-        self.m, self.n = self.entries.shape
-        self.open_r = self.n - np.count_nonzero(self.mask, axis=1)
-        self.open_c = self.m - np.count_nonzero(self.mask, axis=0)
+        entries = np.asarray(entries, dtype=np.int64)
+        mask = np.asarray(mask, dtype=bool)
+        self.m, self.n = entries.shape
+        self.cells = entries.tolist()
+        self.closed = mask.tolist()
+        self.r_res = np.asarray(r_res, dtype=np.int64).tolist()
+        self.c_res = np.asarray(c_res, dtype=np.int64).tolist()
+        self.open_r = (self.n - np.count_nonzero(mask, axis=1)).tolist()
+        self.open_c = (self.m - np.count_nonzero(mask, axis=0)).tolist()
 
     @classmethod
     def from_margins(cls, r, c, forced_zero=None) -> "MaskedTable":
@@ -80,17 +87,37 @@ class MaskedTable:
             if fz.shape != (m, n):
                 raise ValueError(f"mask shape {fz.shape} does not match ({m}, {n})")
             mask |= fz
-        return cls(np.zeros((m, n), dtype=np.int64), mask, np.array(spec.r), np.array(spec.c))
+        return cls(np.zeros((m, n), dtype=np.int64), mask, spec.r, spec.c)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """A fresh int64 array of `cells`."""
+        return np.array(self.cells, dtype=np.int64).reshape(self.m, self.n)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """A fresh bool array of `closed`."""
+        return np.array(self.closed, dtype=bool).reshape(self.m, self.n)
 
     def copy(self) -> "MaskedTable":
         out = MaskedTable.__new__(MaskedTable)
         out.m, out.n = self.m, self.n
-        for name in ("entries", "mask", "r_res", "c_res", "open_r", "open_c"):
-            setattr(out, name, getattr(self, name).copy())
+        out.cells = [row[:] for row in self.cells]
+        out.closed = [row[:] for row in self.closed]
+        for name in ("r_res", "c_res", "open_r", "open_c"):
+            setattr(out, name, getattr(self, name)[:])
         return out
 
     def is_complete(self) -> bool:
-        return bool(self.mask.all())
+        return not any(self.open_r)
+
+    def open_in_row(self, i: int) -> list:
+        """Columns of the open cells of row i, ascending."""
+        return [l for l, shut in enumerate(self.closed[i]) if not shut]
+
+    def open_in_col(self, j: int) -> list:
+        """Rows of the open cells of column j, ascending."""
+        return [s for s, row in enumerate(self.closed) if not row[j]]
 
     def finalize(self, i: int, j: int, value: int) -> None:
         """Commit a cell value, decrementing both residuals.
@@ -98,27 +125,25 @@ class MaskedTable:
         Raises ContradictionError if the cell is already finalized, the
         value is negative, or either residual would go negative.
         """
-        if self.mask[i, j]:
+        if self.closed[i][j]:
             raise ContradictionError(f"cell ({i}, {j}) already finalized")
         if value < 0:
             raise ContradictionError(f"negative value {value} at ({i}, {j})")
-        if self.r_res[i] < value or self.c_res[j] < value:
-            raise ContradictionError(
-                f"value {value} at ({i}, {j}) exceeds residuals "
-                f"r={self.r_res[i]} c={self.c_res[j]}"
-            )
-        self.entries[i, j] = value
-        self.mask[i, j] = True
-        self.r_res[i] -= value
-        self.c_res[j] -= value
+        r, c = self.r_res[i], self.c_res[j]
+        if r < value or c < value:
+            raise ContradictionError(f"value {value} at ({i}, {j}) exceeds residuals r={r} c={c}")
+        self.cells[i][j] = value
+        self.closed[i][j] = True
+        self.r_res[i] = r - value
+        self.c_res[j] = c - value
         self.open_r[i] -= 1
         self.open_c[j] -= 1
 
     def retract(self, forced) -> None:
         """Undo the assignments of a forced list, last one first."""
         for i, j, value in reversed(forced):
-            self.entries[i, j] = 0
-            self.mask[i, j] = False
+            self.cells[i][j] = 0
+            self.closed[i][j] = False
             self.r_res[i] += value
             self.c_res[j] += value
             self.open_r[i] += 1
@@ -190,10 +215,10 @@ def fill_in_place(seeds, t: MaskedTable, mode: str, lines=()) -> list:
                 x = queue.popleft()
                 queued[x] = False
                 if x < m:
-                    kind, idx, res, n_open = "r", x, t.r_res.item(x), t.open_r.item(x)
+                    kind, idx, res, n_open = "r", x, t.r_res[x], t.open_r[x]
                 else:
                     kind, idx = "c", x - m
-                    res, n_open = t.c_res.item(idx), t.open_c.item(idx)
+                    res, n_open = t.c_res[idx], t.open_c[idx]
                 if n_open == 0:
                     if res != 0:
                         raise ContradictionError(
@@ -216,9 +241,9 @@ def fill_in_place(seeds, t: MaskedTable, mode: str, lines=()) -> list:
             else:
                 return forced
             if x < m:
-                cells = [(x, l, value) for l in np.flatnonzero(~t.mask[x]).tolist()]
+                cells = [(x, l, value) for l in t.open_in_row(x)]
             else:
-                cells = [(s, idx, value) for s in np.flatnonzero(~t.mask[:, idx]).tolist()]
+                cells = [(s, idx, value) for s in t.open_in_col(idx)]
     except ContradictionError:
         t.retract(forced)
         raise

@@ -124,6 +124,26 @@ def test_refresh_params_per_cell_mean():
     assert np.allclose(_refresh_params(t), [2 / 3, 1 / 2])
 
 
+def test_refresh_params_match_the_array_rule():
+    # c_res / open_c clipped to [0, 1], 0.0 on a column with no open cells:
+    # the list rule equals the numpy rule bit for bit, spent, zero-open,
+    # overfull (c > open) and negative columns included
+    rng = np.random.default_rng(13)
+    t = MaskedTable.from_margins([0], [0] * 8)
+    zero_open = overfull = 0
+    for _ in range(2000):
+        c = rng.integers(-2, 12, size=8)
+        o = rng.integers(0, 9, size=8)
+        t.c_res, t.open_c = c.tolist(), o.tolist()
+        want = np.clip(np.divide(c, o, out=np.zeros(8), where=o > 0), 0.0, 1.0)
+        got = _refresh_params(t)
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == want.tobytes()
+        zero_open += int(np.sum((o == 0) & (c > 0)))
+        overfull += int(np.sum(c > o))
+    assert zero_open > 100 and overfull > 1000
+
+
 def test_exact_strategy_uniform_3x3():
     tables = list(oracles.iter_binary_tables([2, 2, 2], [2, 2, 2]))
     assert len(tables) == 6

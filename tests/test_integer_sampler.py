@@ -21,7 +21,8 @@ from bittables.integer_sampler import (
     approx_bit_weight,
     sample_contingency_table,
 )
-from bittables.pmf import column_parameters
+from bittables import pmf
+from bittables.pmf import column_parameters, conditioned_cell_pmf
 from bittables.seeding import batch_rng
 from bittables.stats import chi_square_uniformity
 from bittables.table import MaskedTable, deterministic_fill, validate_table
@@ -216,13 +217,36 @@ def test_line_laws_are_memoised_on_the_scheme(monkeypatch):
     # residual differs between them
     misses = dict(calls)
     assert misses == {"mixed_column_sum_pmf": 2, "conditioned_cell_pmf": 5}
-    assert len(scheme.column_factors) == 2 and len(scheme.cell_laws) == 5
+    assert len(scheme.column_laws) == 2 and len(scheme.cell_laws) == 5
     again = [approx_bit_weight(0, 0, k, t, scheme) for k in (0, 1)]
     assert again == first and dict(calls) == misses
     # a fresh scheme with the same parameters starts empty and agrees
     fresh = column_parameters(t.c_res, [0] * 4, 3)
     assert not fresh.cell_laws
     assert [approx_bit_weight(0, 0, k, t, fresh) for k in (0, 1)] == first
+
+
+def test_scored_cell_shares_its_column_law(monkeypatch):
+    # the column factor's law at an open cell (i, j) is the whole-column law
+    # its own conditioned law divides by: the weight builds it once
+    calls = []
+    law = pmf.mixed_column_sum_pmf
+
+    def counted(*args):
+        calls.append(args)
+        return law(*args)
+
+    monkeypatch.setattr(pmf, "mixed_column_sum_pmf", counted)
+    monkeypatch.setattr(integer_sampler, "mixed_column_sum_pmf", counted)
+    t = _square22()
+    scheme = column_parameters(t.c_res, [0, 0], 2)
+    assert approx_bit_weight(0, 0, 0, t, scheme) == 0.0625
+    # column 0 whole (1 even, 1 plain cell) once, then each cell law's rest,
+    # and column 1 whole for the plain cell (0, 1)
+    assert calls == [(0.5, 1, 1, 2), (0.5, 0, 1, 2), (0.5, 0, 1, 2), (0.5, 0, 2, 2)]
+    monkeypatch.undo()
+    shared = scheme.cell_laws[(0.5, True, 0, 1, 2)]
+    assert shared.tobytes() == conditioned_cell_pmf(True, scheme.q[0], 0, 1, 2).tobytes()
 
 
 def _state(t):

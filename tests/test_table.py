@@ -44,7 +44,7 @@ def test_margin_spec_validation():
 def test_finalize_updates_residuals():
     t = MaskedTable.from_margins([3, 2], [4, 1])
     t.finalize(0, 0, 3)
-    assert t.r_res.tolist() == [0, 2] and t.c_res.tolist() == [1, 1]
+    assert list(t.r_res) == [0, 2] and list(t.c_res) == [1, 1]
     assert t.open_r[0] == 1 and t.open_c[0] == 1
     with pytest.raises(ContradictionError):
         t.finalize(0, 0, 1)  # already finalized
@@ -65,8 +65,8 @@ def test_fill_reduces_worked_instance_to_open_2x2():
     out = fr.table
     open_cells = np.argwhere(~out.mask)
     assert sorted(map(tuple, open_cells)) == [(0, 1), (0, 3), (1, 1), (1, 3)]
-    assert out.r_res.tolist() == [3, 38, 0]
-    assert out.c_res.tolist() == [0, 14, 0, 27]
+    assert list(out.r_res) == [3, 38, 0]
+    assert list(out.c_res) == [0, 14, 0, 27]
 
 
 def test_fill_replay_reproduces_state():
@@ -235,7 +235,26 @@ def test_open_counts_track_mask():
         assert np.array_equal(t.open_r, (~t.mask).sum(axis=1))
         assert np.array_equal(t.open_c, (~t.mask).sum(axis=0))
 
+    def fill_and_retract(t, rng):
+        # nested in-place fills, then their retractions, last one first
+        fills = []
+        for _ in range(3):
+            opens = np.argwhere(~t.mask)
+            if len(opens) == 0:
+                break
+            i, j = opens[rng.integers(0, len(opens))]
+            v = int(rng.integers(0, 1 + min(t.r_res[i], t.c_res[j])))
+            try:
+                fills.append(fill_in_place([(i, j, v)], t, "integer"))
+            except ContradictionError:
+                pass
+            check(t)
+        while fills:
+            t.retract(fills.pop())
+            check(t)
+
     rng = np.random.default_rng(5)
+    runs = np.random.default_rng(6)
     for _ in range(40):
         m, n = rng.integers(1, 6, size=2)
         r = rng.integers(0, 6, size=m)
@@ -244,6 +263,7 @@ def test_open_counts_track_mask():
             c[rng.integers(0, n)] += 1
         t = MaskedTable.from_margins(r, c, rng.random((m, n)) < 0.2)
         check(t)
+        fill_and_retract(t.copy(), runs)
         for _ in range(4):
             opens = np.argwhere(~t.mask)
             if len(opens) == 0:
@@ -259,6 +279,39 @@ def test_open_counts_track_mask():
                 break
             check(t)
             check(t.copy())
+
+
+def test_copy_owns_its_rows():
+    # each row list is copied: writing one table's cells or closed flags,
+    # directly or through finalize, leaves the other as it was
+    t = MaskedTable.from_margins([2, 1], [1, 2])
+    out = t.copy()
+    out.finalize(0, 1, 1)
+    out.cells[1][0] = 7
+    out.closed[1][1] = True
+    assert t.cells == [[0, 0], [0, 0]] and t.closed == [[False, False], [False, False]]
+    assert (t.r_res, t.c_res, t.open_r, t.open_c) == ([2, 1], [1, 2], [2, 2], [2, 2])
+    t.finalize(1, 0, 1)
+    assert out.cells == [[0, 1], [7, 0]] and out.closed == [[False, True], [False, True]]
+    assert (out.r_res, out.c_res, out.open_r, out.open_c) == ([1, 1], [1, 1], [1, 2], [2, 1])
+
+
+def test_entries_and_mask_are_fresh_arrays():
+    # the arrays equal the list state, and writing them does not reach the table
+    t = MaskedTable.from_margins([2, 1], [1, 2], _mask(2, 2, [(1, 0)]))
+    t.finalize(0, 1, 2)
+    entries, mask = t.entries, t.mask
+    assert entries.dtype == np.int64 and mask.dtype == bool
+    assert entries.tolist() == t.cells == [[0, 2], [0, 0]]
+    assert mask.tolist() == t.closed == [[False, True], [True, False]]
+    entries[0, 0] = 5
+    mask[0, 0] = True
+    assert t.cells[0][0] == 0 and not t.closed[0][0]
+    assert t.entries[0, 0] == 0 and not t.mask[0, 0]
+    assert t.entries is not t.entries and t.mask is not t.mask
+    # a table without rows keeps its shape
+    empty = MaskedTable.from_margins([], [0, 0])
+    assert empty.entries.shape == (0, 2) and empty.mask.shape == (0, 2)
 
 
 def test_validate_table_modes():
