@@ -7,19 +7,20 @@ tried on that table, not on copies.  Under "full-line" each candidate bit is
 filled in place, weighted by its proposal probability times a
 Poisson-binomial line weight, and retracted; "exact" commits the candidate
 cell alone, counts its completions and retracts it.  The chosen bit's fill
-is kept.
+is kept.  Line weights are a binomial for the column, whose cells share one
+parameter, times a real sequential convolution for the row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .counting import CountOracle, shared_oracle
 from .diagnostics import SamplerDiagnostics, choose_bit, run_with_restarts
 from .errors import ContradictionError, InfeasibleError
-from .pmf import poisson_binomial_point
 from .table import MaskedTable, binary_feasible, fill_in_place
 
 __all__ = [
@@ -50,54 +51,63 @@ class BinaryStrategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
 
 
+def _param(c: int, o: int) -> float:
+    """The one column parameter rule: c_res / open cells, in [0, 1]; 0.0 if either is 0."""
+    return min(c / o, 1.0) if o > 0 and c > 0 else 0.0
+
+
 def _refresh_params(t: MaskedTable) -> list:
-    """Per-column success probabilities p[j] = c_res[j] / open cells of column j.
-
-    Clipped to [0, 1]; a column with no open cells gets 0.0.  The one
-    parameter rule: refreshed at every decision, or taken once from the
-    initial instance when `BinaryStrategy.refresh` is off.
-    """
-    return [min(c / o, 1.0) if o > 0 and c > 0 else 0.0 for c, o in zip(t.c_res, t.open_c)]
+    """`_param` of every column: kept current per decision, or frozen when `refresh` is off."""
+    return [_param(c, o) for c, o in zip(t.c_res, t.open_c)]
 
 
-def _point(ps: np.ndarray, k: int, memo) -> float:
-    """`poisson_binomial_point(ps, k)`, kept in `memo` (if given) under the exact input."""
-    if memo is None:
-        return poisson_binomial_point(ps, k)
-    key = (ps.tobytes(), k)
-    if key not in memo:
-        memo[key] = poisson_binomial_point(ps, k)
-    return memo[key]
+def _row_point(ps, k: int) -> float:
+    """P(sum of independent Bernoulli(ps) = k) by sequential real convolution."""
+    f = [1.0] + [0.0] * k
+    for seen, q in enumerate(ps):
+        u = 1.0 - q
+        for x in range(seen + 1 if seen < k else k, 0, -1):
+            f[x] = f[x] * u + f[x - 1] * q
+        f[0] *= u
+    return f[k]
 
 
-def full_line_weight(i, j, k, t: MaskedTable, p, memo=None) -> float:
+def _binomial_point(n: int, q: float, k: int) -> float:
+    """P(Binomial(n, q) = k) for 0 <= k <= n; past float range, by `_row_point`."""
+    try:
+        return comb(n, k) * q**k * (1.0 - q) ** (n - k)
+    except OverflowError:
+        return _row_point([q] * n, k)
+
+
+def full_line_weight(i, j, k, t: MaskedTable, p) -> float:
     """Rejection weight for bit k at (i, j) over its full row and column.
 
     The weight is the probability that the open cells of row i and column j,
     the cell itself excluded, exactly absorb the residual margins net of k,
-    each cell an independent Bernoulli with its column's parameter p[l].
-    Unreachable residuals give 0.0.  `memo`, one dict per draw, caches the factors.
+    each cell an independent Bernoulli with its column's parameter p[l]: a
+    Poisson-binomial point for the row and a binomial one for the column.
+    Unreachable residuals give 0.0.
     """
     r_i = t.r_res[i] - k
     c_j = t.c_res[j] - k
     if r_i < 0 or c_j < 0:
         return 0.0
-    row = [l for l in t.open_in_row(i) if l != j]
+    row = [p[l] for l in t.open_in_row(i) if l != j]
     n_col = t.open_c[j] - (not t.closed[i][j])
     if r_i > len(row) or c_j > n_col:
         return 0.0
-    row_factor = _point(np.array([p[l] for l in row], dtype=float), r_i, memo)
-    col_factor = _point(np.full(n_col, p[j], dtype=float), c_j, memo)
-    return float(row_factor * col_factor)
+    return _row_point(row, r_i) * _binomial_point(n_col, p[j], c_j)
 
 
-def _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag):
+def _entry_decision(i, j, t, strategy, p, oracle, rng, diag):
     """Decide the bit at open cell (i, j) and commit its forced fill on `t`.
 
     Exact: each candidate is committed alone and weighed by the completion
     count of `t`, then retracted.  Full-line: each candidate is filled in
     place, weighted by the proposal probability of the cells it forces times
-    its line weight, and retracted; one that contradicts weighs 0.
+    its line weight under the column parameters `p`, and retracted; one that
+    contradicts weighs 0.  Under `refresh` the kept fill's columns update `p`.
     """
     if strategy.kind == "exact":
         counts = []
@@ -108,7 +118,6 @@ def _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag):
         bit = choose_bit(counts[0], counts[1], rng, diag, (i, j))
         fill_in_place([(i, j, bit)], t, "binary")
         return bit
-    p = _refresh_params(t) if strategy.refresh else p_static
     fills = [None, None]
     weights = [0.0, 0.0]
     for k in (0, 1):
@@ -120,11 +129,13 @@ def _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag):
         for s, l, v in forced:
             prod *= p[l] if v else (1.0 - p[l])
         fills[k] = forced
-        weights[k] = prod * full_line_weight(i, j, 0, t, p, memo)
+        weights[k] = prod * full_line_weight(i, j, 0, t, p)
         t.retract(forced)
     bit = choose_bit(weights[0], weights[1], rng, diag, (i, j))
     for s, l, v in fills[bit]:
         t.finalize(s, l, v)
+        if strategy.refresh:
+            p[l] = _param(t.c_res[l], t.open_c[l])
     return bit
 
 
@@ -137,21 +148,22 @@ def draw_binary_table(base: MaskedTable, strategy: BinaryStrategy, rng, max_rest
     states are counted into `diag`, which the last dead state carries.
     """
     oracle = strategy.oracle if strategy.oracle is not None else shared_oracle()
-    p_static = None if strategy.refresh else _refresh_params(base)
+    full_line = strategy.kind == "full-line"
+    p_static = None if strategy.refresh or not full_line else _refresh_params(base)
     fill_in_place((), base, "binary", range(base.m + base.n))
-    memo: dict = {}
 
     def attempt():
         t = base.copy()
+        p = _refresh_params(t) if full_line and strategy.refresh else p_static
         for j in range(t.n):
             for i in range(t.m):
                 if not t.closed[i][j]:
-                    _entry_decision(i, j, t, strategy, p_static, oracle, memo, rng, diag)
+                    _entry_decision(i, j, t, strategy, p, oracle, rng, diag)
         if not t.is_complete() or any(t.r_res) or any(t.c_res):
             raise ContradictionError("scan ended with open cells or residual margins")
         return t.entries
 
-    return run_with_restarts(attempt, max_restarts, diag, strategy.kind != "exact")
+    return run_with_restarts(attempt, max_restarts, diag, full_line)
 
 
 def sample_binary_table(

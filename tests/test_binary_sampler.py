@@ -3,20 +3,23 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bittables import binary_sampler
+from bittables import binary_sampler, latin
 from bittables.binary_sampler import (
     BinaryStrategy,
+    _binomial_point,
     _refresh_params,
+    _row_point,
     full_line_weight,
     sample_binary_table,
 )
 from bittables.errors import ContradictionError, InfeasibleError, OracleLimitError
+from bittables.latin import sample_latin_square
+from bittables.pmf import poisson_binomial_pmf
 from bittables.seeding import batch_rng
 from bittables.stats import chi_square_uniformity
 from bittables.table import (
     MaskedTable,
     binary_feasible,
-    deterministic_fill,
     fill_in_place,
     validate_table,
 )
@@ -48,13 +51,26 @@ def test_line_weight_excludes_own_cell():
     assert abs(w - want) < 1e-12
 
 
-def test_memoised_line_weight_equals_direct_evaluation():
-    # a hit returns the float of the call it stands for, so sharing one memo
-    # across states and parameter vectors cannot move a weight
+def test_line_kernels_match_the_reference_laws():
+    # the row recursion against the direct convolution and the binomial column
+    # factor against the transform, with 0/1 parameters, empty lines and k at
+    # both ends of the support; then every weight of random states against both
     rng = np.random.default_rng(31)
-    memo = {}
+    rows = [[], [0.0], [1.0], [1.0, 0.0, 1.0, 1.0, 0.0]]
+    rows += [rng.random(n).tolist() for n in rng.integers(1, 40, size=150)]
+    rows += [rng.choice([0.0, 1.0, 0.3], size=n).tolist() for n in rng.integers(1, 20, size=50)]
+    for ps in rows:
+        for k in {0, len(ps), int(rng.integers(0, len(ps) + 1))}:
+            assert abs(_row_point(ps, k) - oracles.poisson_binomial_convolve(ps, k)) < 1e-12
+    for n in range(40):
+        for q in (0.0, 1.0, 0.5, float(rng.random())):
+            for k in range(n + 1):
+                assert abs(_binomial_point(n, q, k) - poisson_binomial_pmf([q] * n, k)) < 1e-12
+    # past float range comb(n, k) overflows, and the row recursion takes over
+    want = oracles.poisson_binomial_convolve([0.5] * 1100, 550)
+    assert abs(_binomial_point(1100, 0.5, 550) - want) < 1e-12
     checked = 0
-    for _ in range(60):
+    for _ in range(120):
         m, n = rng.integers(2, 7, size=2)
         r = rng.integers(0, n + 1, size=m)
         c = np.zeros(n, dtype=np.int64)
@@ -62,7 +78,8 @@ def test_memoised_line_weight_equals_direct_evaluation():
             c[rng.integers(0, n)] += 1
         if not binary_feasible(r, c):
             continue
-        t = deterministic_fill([], MaskedTable.from_margins(r, c), "binary").table
+        t = MaskedTable.from_margins(r, c)
+        fill_in_place((), t, "binary", range(m + n))
         for _ in range(rng.integers(0, 4)):
             opens = np.argwhere(~t.mask)
             if len(opens) == 0:
@@ -72,32 +89,75 @@ def test_memoised_line_weight_equals_direct_evaluation():
                 fill_in_place([(i, j, int(rng.integers(0, 2)))], t, "binary")
             except ContradictionError:
                 pass
-        for p in (_refresh_params(t), rng.random(n)):
-            for _ in range(2):
-                for i, j in np.argwhere(~t.mask):
-                    for k in (0, 1):
-                        want = full_line_weight(i, j, k, t, p)
-                        assert full_line_weight(i, j, k, t, p, memo) == want
-                        checked += 1
-    assert checked > 500 and len(memo) > 50
+        for p in (_refresh_params(t), rng.random(n).tolist()):
+            for i, j in np.argwhere(~t.mask):
+                row = [p[l] for l in t.open_in_row(i) if l != j]
+                n_col = t.open_c[j] - 1
+                for k in (0, 1):
+                    r_i, c_j = t.r_res[i] - k, t.c_res[j] - k
+                    want = 0.0
+                    if 0 <= r_i <= len(row) and 0 <= c_j <= n_col:
+                        want = oracles.poisson_binomial_convolve(row, r_i) * poisson_binomial_pmf(
+                            [p[j]] * n_col, c_j
+                        )
+                    assert abs(full_line_weight(i, j, k, t, p) - want) < 1e-12
+                    checked += 1
+    assert checked > 500
 
 
-def test_line_factor_memo_lasts_one_draw(monkeypatch):
-    # the memo is made per call: a repeated draw misses as often as the first
-    calls = []
-    original = binary_sampler.poisson_binomial_point
+class _FrozenList(list):
+    def __setitem__(self, *args):
+        raise AssertionError("the static column parameters were written")
 
-    def counted(ps, k):
-        calls.append(k)
-        return original(ps, k)
 
-    monkeypatch.setattr(binary_sampler, "poisson_binomial_point", counted)
-    misses = []
-    for _ in range(2):
-        calls.clear()
-        sample_binary_table([3, 2, 4, 1, 2], [2, 3, 2, 3, 2], seed=5)
-        misses.append(len(calls))
-    assert misses[0] == misses[1] > 0
+def test_column_parameters_follow_each_fill(monkeypatch):
+    # before every full-line decision the kept list equals a rebuild bit for
+    # bit, on streams whose class tables restart too; it is built once per
+    # attempt, a static list once per table and never written, and the exact
+    # scan builds none
+    rebuild = binary_sampler._refresh_params
+    decide = binary_sampler._entry_decision
+    draw = latin.draw_binary_table
+    built, tables, decisions = [], [], []
+    frozen = [False]
+
+    def build(t):
+        built.append(_FrozenList(rebuild(t)) if frozen[0] else rebuild(t))
+        return built[-1]
+
+    def checked(i, j, t, strategy, p, *rest):
+        if strategy.kind == "full-line":
+            want = rebuild(t) if strategy.refresh else built[-1]
+            assert p is built[-1] and np.array(p).tobytes() == np.array(want).tobytes()
+            decisions.append((i, j))
+        return decide(i, j, t, strategy, p, *rest)
+
+    def draw_counted(*args):
+        tables.append(args[1])
+        return draw(*args)
+
+    monkeypatch.setattr(binary_sampler, "_refresh_params", build)
+    monkeypatch.setattr(binary_sampler, "_entry_decision", checked)
+    monkeypatch.setattr(latin, "draw_binary_table", draw_counted)
+    restarts = 0
+    for n, stream in ((7, 455), (10, 77)):
+        restarts += sample_latin_square(n, rng=batch_rng(71, stream))[1].restarts
+    sample_binary_table([3, 2, 4, 1, 2], [2, 3, 2, 3, 2], seed=5)
+    assert restarts >= 2 and len(built) == len(tables) + 1 + restarts
+
+    frozen[0] = True
+    built.clear()
+    tables.clear()
+    static = BinaryStrategy(refresh=False)
+    restarts = sample_latin_square(10, static, rng=batch_rng(71, 13))[1].restarts
+    sample_binary_table([3, 2, 4, 1, 2], [2, 3, 2, 3, 2], strategy=static, seed=5)
+    assert restarts == 1 and len(built) == len(tables) + 1
+
+    built.clear()
+    for refresh in (True, False):
+        exact = BinaryStrategy(kind="exact", refresh=refresh)
+        sample_binary_table([2, 2, 2], [2, 2, 2], strategy=exact, seed=1)
+    assert built == [] and len(decisions) > 300
 
 
 def test_first_cell_law_symmetric_instance():
