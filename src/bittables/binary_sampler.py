@@ -3,12 +3,12 @@
 `sample_binary_table` checks the instance and runs `draw_binary_table`, the
 scan the Latin cascade calls directly.  Cells are decided in column-major
 order on one table per attempt; dead states restart it.  Candidates are
-tried on that table, not on copies.  Under "full-line" each candidate bit is
-filled in place, weighted by its proposal probability times a
-Poisson-binomial line weight, and retracted; "exact" commits the candidate
-cell alone, counts its completions and retracts it.  The chosen bit's fill
-is kept.  Line weights are a binomial for the column, whose cells share one
-parameter, times a real sequential convolution for the row.
+tried on that table, not on copies: each candidate bit is filled in place,
+weighed and retracted, by its completion count under "exact" and by its
+proposal probability times a Poisson-binomial line weight under
+"full-line".  The chosen bit's fill is kept.  Line weights are a binomial
+for the column, whose cells share one parameter, times a real sequential
+convolution for the row.
 """
 
 from __future__ import annotations
@@ -103,38 +103,36 @@ def full_line_weight(i, j, k, t: MaskedTable, p) -> float:
 def _entry_decision(i, j, t, strategy, p, oracle, rng, diag):
     """Decide the bit at open cell (i, j) and commit its forced fill on `t`.
 
-    Exact: each candidate is committed alone and weighed by the completion
-    count of `t`, then retracted.  Full-line: each candidate is filled in
-    place, weighted by the proposal probability of the cells it forces times
-    its line weight under the column parameters `p`, and retracted; one that
-    contradicts weighs 0.  Under `refresh` the kept fill's columns update `p`.
+    Each candidate is filled in place, weighed and retracted; one that
+    contradicts weighs 0.  Exact weighs the completion count of the filled
+    state, which equals the count with the cell alone committed, since forced
+    cells hold in every completion.  Full-line weighs the proposal
+    probability of the cells the fill forces times the line weight under the
+    column parameters `p`.  The chosen fill is replayed; under full-line with
+    `refresh` its columns update `p`.
     """
-    if strategy.kind == "exact":
-        counts = []
-        for k in (0, 1):  # on a fixed point both bits fit the cell's residuals
-            t.finalize(i, j, k)
-            counts.append(oracle.count_binary_tables(t.r_res, t.c_res, t.closed))
-            t.retract(((i, j, k),))
-        bit = choose_bit(counts[0], counts[1], rng, diag, (i, j))
-        fill_in_place([(i, j, bit)], t, "binary")
-        return bit
+    exact = strategy.kind == "exact"
     fills = [None, None]
-    weights = [0.0, 0.0]
+    weights = [0, 0]
     for k in (0, 1):
         try:
             forced = fill_in_place([(i, j, k)], t, "binary")
         except ContradictionError:
             continue
-        prod = 1.0
-        for s, l, v in forced:
-            prod *= p[l] if v else (1.0 - p[l])
+        if exact:
+            weights[k] = oracle.count_binary_tables(t.r_res, t.c_res, t.closed)
+        else:
+            prod = 1.0
+            for s, l, v in forced:
+                prod *= p[l] if v else (1.0 - p[l])
+            weights[k] = prod * full_line_weight(i, j, 0, t, p)
         fills[k] = forced
-        weights[k] = prod * full_line_weight(i, j, 0, t, p)
         t.retract(forced)
     bit = choose_bit(weights[0], weights[1], rng, diag, (i, j))
+    update = not exact and strategy.refresh
     for s, l, v in fills[bit]:
         t.finalize(s, l, v)
-        if strategy.refresh:
+        if update:
             p[l] = _param(t.c_res[l], t.open_c[l])
     return bit
 

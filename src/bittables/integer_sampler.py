@@ -157,7 +157,7 @@ def _retract_bit(t: MaskedTable, i: int, j: int, k: int, pinned: list) -> None:
     t.c_res[j] += k
 
 
-def _decide(t, i, j, level, strategy, scheme, oracle, rng, diag) -> int:
+def _decide(t, i, j, level, strategy, scheme, oracle, rng, diag, transposed) -> int:
     """Draw and commit the level bit of open cell (i, j) on `t`.
 
     Each candidate is applied in place, weighed and retracted; one that
@@ -183,13 +183,22 @@ def _decide(t, i, j, level, strategy, scheme, oracle, rng, diag) -> int:
                 prod *= (1.0 - q[l] * q[l]) if (l, s) <= (j, i) else (1.0 - q[l])
             weights[k] = prod * approx_bit_weight(i, j, 0, t, scheme)
         _retract_bit(t, i, j, k, pinned)
-    bit = choose_bit(weights[0], weights[1], rng, diag, (i, j), level)
+    site = (j, i) if transposed else (i, j)  # the caller's cell
+    bit = choose_bit(weights[0], weights[1], rng, diag, site, level)
     _apply_bit(t, i, j, bit)
     return bit
 
 
-def _run_levels(base, levels, strategy, oracle, rng, diag) -> np.ndarray:
-    """One attempt: scan the levels on a copy of the filled `base`, return its entries."""
+def _transpose(t: MaskedTable) -> MaskedTable:
+    """A new table holding the transpose of `t`, rows and columns swapped."""
+    return MaskedTable(t.entries.T, t.mask.T, t.c_res, t.r_res)
+
+
+def _run_levels(base, levels, strategy, oracle, rng, diag, transposed) -> np.ndarray:
+    """One attempt: scan the levels on a copy of the filled `base`, return its entries.
+
+    Dead states name the caller's cells, also when `base` is its transpose.
+    """
     t = base.copy()
     m, n = t.m, t.n
     assembled = [row[:] for row in base.cells]
@@ -198,6 +207,11 @@ def _run_levels(base, levels, strategy, oracle, rng, diag) -> np.ndarray:
             try:
                 forced = fill_in_place((), t, "integer", range(m + n))
             except ContradictionError as e:
+                if transposed:  # the caller's orientation strands too: name its lines
+                    try:
+                        fill_in_place((), _transpose(t), "integer", range(m + n))
+                    except ContradictionError as caller_e:
+                        e = caller_e
                 raise DeadStateError(f"level {b} start: {e}") from e
             for fi, fj, v in forced:
                 assembled[fi][fj] += v << b
@@ -205,7 +219,8 @@ def _run_levels(base, levels, strategy, oracle, rng, diag) -> np.ndarray:
                   if strategy.kind == "approx" else None)
         for j in range(n):
             for i in range(m):
-                if not t.closed[i][j] and _decide(t, i, j, b, strategy, scheme, oracle, rng, diag):
+                if not t.closed[i][j] and _decide(t, i, j, b, strategy, scheme, oracle, rng, diag,
+                                                  transposed):
                     assembled[i][j] += 1 << b
         if any(x & 1 for x in t.r_res + t.c_res):
             # a line stranded off the scored row and column: restart
@@ -237,9 +252,8 @@ def sample_contingency_table(
     order; `max_restarts` bounds dead-state restarts of the approximate
     strategy.  Raises InfeasibleError when propagation proves the margins
     inconsistent, DeadStateError when the restart budget runs out and
-    ValueError when `max_restarts` is negative.  Margin and mask errors name
-    the caller's rows and columns under either scan; the row scan runs as
-    the column scan of the transpose, so its dead states name cells of that.
+    ValueError when `max_restarts` is negative.  Errors and dead states name
+    the caller's rows, columns and cells under either scan.
     """
     strategy = strategy if strategy is not None else BitSamplerStrategy()
     if scan not in ("column", "row"):
@@ -257,10 +271,10 @@ def sample_contingency_table(
         raise InfeasibleError(f"margins admit no table under the mask: {e}") from e
     transposed = scan == "row"
     if transposed:  # the row scan is the column scan of the transpose
-        base = MaskedTable(base.entries.T, base.mask.T, base.c_res, base.r_res)
+        base = _transpose(base)
     diag = SamplerDiagnostics(levels=levels)
     entries = run_with_restarts(
-        lambda: _run_levels(base, levels, strategy, oracle, rng, diag),
+        lambda: _run_levels(base, levels, strategy, oracle, rng, diag, transposed),
         max_restarts, diag, strategy.kind == "approx",
     )
     if retain_bit_levels:

@@ -120,7 +120,7 @@ class _CountTable:
 
     The table is extended in place when a longer prefix is asked for, so it
     always holds the largest m requested so far.  `logs` holds math.log of
-    every entry (-inf for a zero count) for the samplers' acceptance step.
+    every entry, all of them at least 1, for the samplers' acceptance step.
     """
 
     def __init__(self, extend):
@@ -129,15 +129,19 @@ class _CountTable:
         self.logs = np.zeros(1)
         self._lock = threading.Lock()
 
-    def prefix(self, m) -> list:
-        """A copy of c(0..m), growing the table first if it is shorter."""
+    def grow(self, m) -> None:
+        """Extend the table to c(0..m) if it is shorter."""
         with self._lock:
             old = len(self._values)
             if m >= old:
                 self._extend(self._values, m)
-                new = [math.log(v) if v else -math.inf for v in self._values[old:]]
+                new = [math.log(v) for v in self._values[old:]]
                 self.logs = np.concatenate([self.logs, new])
-            return self._values[: m + 1]
+
+    def prefix(self, m) -> list:
+        """A copy of c(0..m), growing the table first if it is shorter."""
+        self.grow(m)
+        return self._values[: m + 1]
 
 
 _ALL = _CountTable(_extend_partition_counts)
@@ -188,7 +192,7 @@ def enumerate_partitions(n: int, distinct: bool = False):
 _STAGE_BUDGET = 20_000
 
 
-def _stage(target, idx, probs, lognum, logmax, table, rng):
+def _stage(target, idx, probs, lognum, logmax, rng):
     """Sample one level's bits, soft-rejecting until the even residual is
     consistent; returns (bit flags, residual half-target)."""
     for _ in range(_STAGE_BUDGET):
@@ -198,8 +202,6 @@ def _stage(target, idx, probs, lognum, logmax, table, rng):
         if rem < 0 or rem % 2:
             continue
         mp = rem // 2
-        if table[mp] == 0:
-            continue
         s = math.exp(lognum[mp] - logmax)
         if not 0.0 <= s <= 1.0 + 1e-12:
             raise ConditioningError(f"acceptance {s} out of range at target {target}")
@@ -209,11 +211,11 @@ def _stage(target, idx, probs, lognum, logmax, table, rng):
         f"partition level with target {target} rejected {_STAGE_BUDGET} proposals")
 
 
-def _sample_core(n, rng, tilt, table, logtable, distinct) -> dict:
-    """Shared level loop; `table` holds p (or the distinct-part counts) up
-    to n // 2 and `logtable` their logs.  Unrestricted levels double the
-    multiplicity carried by each recorded bit; distinct-part levels double
-    the part size instead."""
+def _sample_core(n, rng, tilt, logtable, distinct) -> dict:
+    """Shared level loop; `logtable` holds the logs of p (or of the
+    distinct-part counts), all finite, up to at least n // 2.  Unrestricted
+    levels double the multiplicity carried by each recorded bit;
+    distinct-part levels double the part size instead."""
     parts: dict = {}
     target = n
     factor = 1
@@ -225,9 +227,9 @@ def _sample_core(n, rng, tilt, table, logtable, distinct) -> dict:
             break
         x = tilt if tilt is not None else math.exp(-math.pi / math.sqrt(scale * target))
         logx = math.log(x)
-        # acceptance for residual l is proportional to table[l] * x**(2l),
+        # acceptance for residual l is proportional to c(l) * x**(2l),
         # the chance the untouched even halves absorb exactly 2l; the terms
-        # are rounded as log(table[l]) + (2.0 * l) * logx, and the fixed-seed
+        # are rounded as log(c(l)) + (2.0 * l) * logx, and the fixed-seed
         # draws in tests/data/partition_golden.json depend on that order
         half = target // 2 + 1
         lognum = logtable[:half] + 2.0 * np.arange(half) * logx
@@ -235,7 +237,7 @@ def _sample_core(n, rng, tilt, table, logtable, distinct) -> dict:
         idx = np.arange(1, target + 1, 2 if distinct else 1)
         xi = x**idx.astype(float)
         probs = xi / (1.0 + xi)
-        bits, mp = _stage(target, idx, probs, lognum, logmax, table, rng)
+        bits, mp = _stage(target, idx, probs, lognum, logmax, rng)
         for i in idx[bits]:
             key = int(i) * factor if distinct else int(i)
             parts[key] = parts.get(key, 0) + (1 if distinct else factor)
@@ -262,8 +264,8 @@ def sample_partition(n: int, seed=None, rng=None, tilt=None) -> Partition:
     """
     _check_args(n, tilt)
     rng = rng if rng is not None else np.random.default_rng(seed)
-    table = partition_counts(n // 2)
-    counts = _sample_core(n, rng, tilt, table, _ALL.logs, distinct=False)
+    _ALL.grow(n // 2)
+    counts = _sample_core(n, rng, tilt, _ALL.logs, distinct=False)
     return Partition(n=n, pairs=tuple(sorted(counts.items())))
 
 
@@ -279,6 +281,6 @@ def sample_distinct_partition(n: int, seed=None, rng=None, tilt=None) -> Partiti
     """
     _check_args(n, tilt)
     rng = rng if rng is not None else np.random.default_rng(seed)
-    table = distinct_partition_counts(n // 2)
-    counts = _sample_core(n, rng, tilt, table, _DISTINCT.logs, distinct=True)
+    _DISTINCT.grow(n // 2)
+    counts = _sample_core(n, rng, tilt, _DISTINCT.logs, distinct=True)
     return Partition(n=n, pairs=tuple(sorted(counts.items())))

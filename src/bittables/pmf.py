@@ -83,17 +83,6 @@ def negative_binomial_dist(m: int, q: float, cap: int) -> np.ndarray:
     return masses
 
 
-_ROOT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _unit_roots(count: int) -> np.ndarray:
-    roots = _ROOT_CACHE.get(count)
-    if roots is None:
-        roots = np.exp(2j * np.pi * np.arange(count) / count)
-        _ROOT_CACHE[count] = roots
-    return roots
-
-
 def poisson_binomial_point(ps: np.ndarray, k: int) -> float:
     """P(sum of independent Bernoulli(ps) = k), no argument validation.
 
@@ -103,7 +92,7 @@ def poisson_binomial_point(ps: np.ndarray, k: int) -> float:
     n = len(ps)
     if n == 0:
         return 1.0 if k == 0 else 0.0
-    roots = _unit_roots(n + 1)
+    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     # E[C^(l S)] = prod_j (1 + (C^l - 1) p_j) for each root C^l
     prods = np.prod(1.0 + np.outer(roots - 1.0, ps), axis=1)
     val = np.real(np.sum(np.exp(-2j * np.pi * np.arange(n + 1) * k / (n + 1)) * prods)) / (n + 1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -27,17 +27,8 @@ class UniformityReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "counts": list(self.counts),
-            "total": self.total,
-            "categories": self.categories,
-            "expected": self.expected,
-            "statistic": self.statistic,
-            "df": self.df,
-            "significance": self.significance,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        """The fields in order, `counts` as a list."""
+        return {**asdict(self), "counts": list(self.counts)}
 
 
 def chi_square_threshold(df: int, significance: float) -> float:

@@ -12,6 +12,7 @@ from bittables.binary_sampler import (
     full_line_weight,
     sample_binary_table,
 )
+from bittables.counting import CountOracle
 from bittables.errors import ContradictionError, InfeasibleError, OracleLimitError
 from bittables.latin import sample_latin_square
 from bittables.pmf import poisson_binomial_pmf
@@ -158,6 +159,79 @@ def test_column_parameters_follow_each_fill(monkeypatch):
         exact = BinaryStrategy(kind="exact", refresh=refresh)
         sample_binary_table([2, 2, 2], [2, 2, 2], strategy=exact, seed=1)
     assert built == [] and len(decisions) > 300
+
+
+def _stranding_instance(rng):
+    """A random 0/1 fixed point whose rows :a reach only columns :b, which
+    take all their ones from those rows; the open cells below the block hold
+    0 in every table, though no single line shows that a 1 there fails."""
+    m, n = (int(x) for x in rng.integers(4, 7, size=2))
+    a, b = int(rng.integers(2, m - 1)), int(rng.integers(2, n - 1))
+    mask = np.zeros((m, n), dtype=bool)
+    mask[:a, b:] = True
+    ones = rng.random((m, n)) < 0.5
+    ones[:a, b:] = ones[a:, :b] = False
+    t = MaskedTable.from_margins(ones.sum(axis=1), ones.sum(axis=0), mask)
+    fill_in_place((), t, "binary", range(m + n))
+    return t
+
+
+def test_fill_count_equals_the_cell_alone_count():
+    # forced cells hold in every completion: on masked 0/1 fixed points the
+    # count of a candidate's propagated fill is the count with the cell alone
+    # committed, and a fill that contradicts has none
+    rng = np.random.default_rng(47)
+    filled = contradicted = 0
+    for _ in range(60):
+        t = _stranding_instance(rng)
+        for i, j in zip(*np.nonzero(~t.mask)):
+            for k in (0, 1):  # on a fixed point both bits fit an open cell's residuals
+                t.finalize(i, j, k)
+                alone = oracles.count_binary(t.r_res, t.c_res, t.closed)
+                t.retract([(i, j, k)])
+                try:
+                    forced = fill_in_place([(i, j, k)], t, "binary")
+                except ContradictionError:
+                    assert alone == 0
+                    contradicted += 1
+                    continue
+                assert oracles.count_binary(t.r_res, t.c_res, t.closed) == alone
+                filled += len(forced) > 1
+                t.retract(forced)
+    assert filled > 200 and contradicted > 20
+
+
+class _RecordingOracle(CountOracle):
+    def __init__(self):
+        super().__init__()
+        self.queries = []
+
+    def count_binary_tables(self, r, c, forced_zero=None):
+        self.queries.append((list(r), list(c), np.array(forced_zero, dtype=bool)))
+        return super().count_binary_tables(r, c, forced_zero)
+
+
+def test_exact_scan_queries_fixed_points():
+    # every state the exact 0/1 scan counts is a fixed point of the binary
+    # fill: a fill from every line forces nothing, on 0/1 tables (past the
+    # front door's feasibility count) and on the Latin exact cascade
+    oracle = _RecordingOracle()
+    exact = BinaryStrategy(kind="exact", oracle=oracle)
+    scanned = []
+    zero = np.eye(5, dtype=bool)
+    for r, c, mask in (([2, 2, 2], [2, 2, 2], None), ([3, 2, 4, 1, 2], [2, 3, 2, 3, 2], None),
+                       ([2, 1, 3, 2, 2], [3, 2, 1, 2, 2], zero)):
+        for s in range(5):
+            sample_binary_table(r, c, mask, strategy=exact, rng=batch_rng(61, s))
+            scanned += oracle.queries[1:]
+            oracle.queries.clear()
+    for n in (4, 5, 6):
+        sample_latin_square(n, exact, rng=batch_rng(67, n))
+    scanned += oracle.queries
+    for r, c, closed in scanned:
+        t = MaskedTable(np.zeros(closed.shape), closed, r, c)
+        assert fill_in_place((), t, "binary", range(len(r) + len(c))) == []
+    assert len(scanned) >= 300
 
 
 def test_first_cell_law_symmetric_instance():

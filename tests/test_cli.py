@@ -274,6 +274,24 @@ def test_cli_golden_replay(capsys):
     assert not mismatched, mismatched
 
 
+def test_cli_golden_replay_under_optimize():
+    # invariants must hold without asserts: the first golden case of every
+    # sample command, and the Latin dead state that exits 2, replay
+    # byte-identical under `python -O`
+    cases = json.loads(CLI_GOLDEN.read_text())
+    picked = {}
+    for case in cases:
+        if case["argv"][0].startswith("sample-") and case["exit"] == 0:
+            picked.setdefault(case["argv"][0], case)
+    dead = [case for case in cases if case["exit"] == 2 and case["argv"][0] == "sample-latin"]
+    assert len(picked) == 4 and len(dead) == 1
+    for case in [*picked.values(), *dead]:
+        proc = subprocess.run([sys.executable, "-O", "-m", "bittables", *case["argv"]],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            case["exit"], case["stdout"], case["stderr"]), case["argv"]
+
+
 def test_cli_flag_surface():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     surface, required = {}, {}

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -332,6 +333,31 @@ def test_row_scan_errors_name_the_callers_table():
         with pytest.raises(ValueError, match=r"^mask shape \(3, 2\) does not match \(2, 3\)$"):
             sample_contingency_table([2, 1], [1, 1, 1], np.zeros((3, 2), dtype=bool), scan=scan,
                                      seed=0)
+
+
+def _transposed_message(message):
+    """`message` retold on the transpose: cells (i, j) as (j, i), rows as columns."""
+    message = re.sub(r"\((\d+), (\d+)\)", r"(\2, \1)", message)
+    message = re.sub(r"r=(\d+) c=(\d+)", r"r=\2 c=\1", message)
+    return re.sub(r"line ([rc])", lambda g: "line " + "cr"["rc".index(g[1])], message)
+
+
+def test_row_scan_dead_states_name_the_callers_cells():
+    # the row scan runs as the column scan of the transpose; its dead states
+    # name what that column scan names, transposed.  Streams 6 and 2 die at a
+    # decision, 40 at the level 1 start.
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[:2, 2:] = True
+    r, c = [3, 5, 4, 6], [4, 5, 3, 6]
+    for s, site in ((6, "cell (1, 0) in level 1"), (2, "cell (2, 1) in level 1"),
+                    (40, "level 1 start")):
+        with pytest.raises(DeadStateError) as col:
+            sample_contingency_table(c, r, mask.T, rng=batch_rng(17, s), max_restarts=0)
+        with pytest.raises(DeadStateError) as row:
+            sample_contingency_table(r, c, mask, rng=batch_rng(17, s), max_restarts=0,
+                                     scan="row")
+        assert str(row.value) == _transposed_message(str(col.value))
+        assert site in str(row.value)
 
 
 def test_odd_residual_restarts_instead_of_failing(capsys):
