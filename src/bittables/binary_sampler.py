@@ -2,13 +2,17 @@
 
 `sample_binary_table` checks the instance and runs `draw_binary_table`, the
 scan the Latin cascade calls directly.  Cells are decided in column-major
-order on one table per attempt; dead states restart it.  Candidates are
-tried on that table, not on copies: each candidate bit is filled in place,
-weighed and retracted, by its completion count under "exact" and by its
-proposal probability times a Poisson-binomial line weight under
-"full-line".  The chosen bit's fill is kept.  Line weights are a binomial
-for the column, whose cells share one parameter, times a real sequential
-convolution for the row.
+order on one table per attempt; dead states restart it.  A candidate bit is
+weighed by its completion count under "exact" and by its proposal
+probability times a Poisson-binomial line weight under "full-line".  The
+table is a fixed point of the binary fill before every decision, so a
+*quiet* candidate, one that leaves its row and column forcing nothing, fills
+just its own cell: it is weighed with no trial fill, and under full-line
+both quiet candidates read their row factor off one shared convolution of
+the row.  Any other candidate is filled in place, weighed and retracted.
+The chosen bit's fill is kept.  Line weights are a binomial for the column,
+whose cells share one parameter, times a real sequential convolution for
+the row.
 """
 
 from __future__ import annotations
@@ -61,15 +65,21 @@ def _refresh_params(t: MaskedTable) -> list:
     return [_param(c, o) for c, o in zip(t.c_res, t.open_c)]
 
 
-def _row_point(ps, k: int) -> float:
-    """P(sum of independent Bernoulli(ps) = k) by sequential real convolution."""
-    f = [1.0] + [0.0] * k
+def _row_law(ps, cap: int) -> list:
+    """P(sum of independent Bernoulli(ps) = x) for x = 0..cap, by sequential
+    real convolution; entry x does not depend on `cap` as long as x <= cap."""
+    f = [1.0] + [0.0] * cap
     for seen, q in enumerate(ps):
         u = 1.0 - q
-        for x in range(seen + 1 if seen < k else k, 0, -1):
+        for x in range(seen + 1 if seen < cap else cap, 0, -1):
             f[x] = f[x] * u + f[x - 1] * q
         f[0] *= u
-    return f[k]
+    return f
+
+
+def _row_point(ps, k: int) -> float:
+    """P(sum of independent Bernoulli(ps) = k), the last entry of `_row_law`."""
+    return _row_law(ps, k)[k]
 
 
 def _binomial_point(n: int, q: float, k: int) -> float:
@@ -100,21 +110,44 @@ def full_line_weight(i, j, k, t: MaskedTable, p) -> float:
     return _row_point(row, r_i) * _binomial_point(n_col, p[j], c_j)
 
 
+def _quiet(res: int, n_open: int, k: int) -> bool:
+    """Whether bit k on an open cell leaves its line, `res` to place in
+    `n_open` open cells, forcing nothing: neither spent nor full, or closed."""
+    return 0 < res - k < n_open - 1 or res - k == n_open - 1 == 0
+
+
 def _entry_decision(i, j, t, strategy, p, oracle, rng, diag):
     """Decide the bit at open cell (i, j) and commit its forced fill on `t`.
 
-    Each candidate is filled in place, weighed and retracted; one that
-    contradicts weighs 0.  Exact weighs the completion count of the filled
-    state, which equals the count with the cell alone committed, since forced
-    cells hold in every completion.  Full-line weighs the proposal
-    probability of the cells the fill forces times the line weight under the
-    column parameters `p`.  The chosen fill is replayed; under full-line with
-    `refresh` its columns update `p`.
+    `t` is a fixed point, so a quiet candidate's fill is its cell alone:
+    exact counts it with the cell finalized and retracted, and full-line
+    reads its row factor off one convolution of row i's other open cells,
+    shared by both candidates.  Any other candidate is filled in place,
+    weighed and retracted; one that contradicts weighs 0.  Exact weighs the
+    completion count of the filled state, which equals the count with the
+    cell alone committed, since forced cells hold in every completion.
+    Full-line weighs the proposal probability of the cells the fill forces
+    times the line weight under the column parameters `p`.  The chosen fill
+    is replayed; under full-line with `refresh` its columns update `p`.
     """
     exact = strategy.kind == "exact"
+    r, c = t.r_res[i], t.c_res[j]
+    row_law = None
     fills = [None, None]
     weights = [0, 0]
     for k in (0, 1):
+        if _quiet(r, t.open_r[i], k) and _quiet(c, t.open_c[j], k):
+            fills[k] = [(i, j, k)]
+            if exact:
+                t.finalize(i, j, k)
+                weights[k] = oracle.count_binary_tables(t.r_res, t.c_res, t.closed)
+                t.retract(fills[k])
+                continue
+            if row_law is None:
+                row_law = _row_law([p[l] for l in t.open_in_row(i) if l != j], r)
+            column = _binomial_point(t.open_c[j] - 1, p[j], c - k)
+            weights[k] = (p[j] if k else 1.0 - p[j]) * (row_law[r - k] * column)
+            continue
         try:
             forced = fill_in_place([(i, j, k)], t, "binary")
         except ContradictionError:

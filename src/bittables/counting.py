@@ -142,17 +142,19 @@ class CountOracle:
         return _iter_latin(n)
 
 
-def _suffix_symmetric(q: CountQuery, m: int) -> list:
-    """suffix_symmetric[j]: no mask column at or after j distinguishes rows.
+def _suffix_symmetric(q: CountQuery) -> list:
+    """suffix_symmetric[j]: no mask column at or after j distinguishes live rows.
 
-    Only then may residual row sums be sorted into a canonical memo key.
+    Only then may residual row sums be sorted into a canonical memo key.  A
+    row whose query residual is 0 takes 0 in every column whatever its mask,
+    so only the live rows, those with residual left, need to agree.
     """
     n = len(q.c)
-    full = (1 << m) - 1
+    live = sum(1 << i for i, x in enumerate(q.r) if x > 0)
     out = [False] * (n + 1)
     out[n] = True
     for j in range(n - 1, -1, -1):
-        uniform = q.w[j] in (0, full) and q.o[j] in (0, full)
+        uniform = (q.w[j] & live) in (0, live) and (q.o[j] & live) in (0, live)
         out[j] = out[j + 1] and uniform
     return out
 
@@ -195,8 +197,8 @@ def _columns(q: CountQuery, j: int, rho: tuple) -> list:
 
 
 def _count_rec(q: CountQuery) -> int:
-    m, n = len(q.r), len(q.c)
-    sym = _suffix_symmetric(q, m)
+    n = len(q.c)
+    sym = _suffix_symmetric(q)
     memo: dict = {}
 
     def rec(j: int, rho: tuple) -> int:

@@ -7,12 +7,16 @@ from bittables import binary_sampler, latin
 from bittables.binary_sampler import (
     BinaryStrategy,
     _binomial_point,
+    _entry_decision,
+    _quiet,
     _refresh_params,
+    _row_law,
     _row_point,
     full_line_weight,
     sample_binary_table,
 )
 from bittables.counting import CountOracle
+from bittables.diagnostics import SamplerDiagnostics
 from bittables.errors import ContradictionError, InfeasibleError, OracleLimitError
 from bittables.latin import sample_latin_square
 from bittables.pmf import poisson_binomial_pmf
@@ -104,6 +108,129 @@ def test_line_kernels_match_the_reference_laws():
                     assert abs(full_line_weight(i, j, k, t, p) - want) < 1e-12
                     checked += 1
     assert checked > 500
+
+
+def test_row_law_entries_do_not_depend_on_the_cap():
+    # entry x of the capped row convolution is the uncapped point at x, bit
+    # for bit, with 0/1 parameters and empty rows among the inputs
+    rng = np.random.default_rng(37)
+    rows = [[], [0.0], [1.0], [1.0, 0.0, 1.0, 1.0, 0.0], [0.0, 0.0], [1.0] * 6]
+    rows += [rng.random(n).tolist() for n in rng.integers(1, 30, size=100)]
+    rows += [rng.choice([0.0, 1.0, 0.7], size=n).tolist() for n in rng.integers(1, 15, size=40)]
+    for ps in rows:
+        for cap in range(len(ps) + 2):
+            law = _row_law(ps, cap)
+            assert len(law) == cap + 1
+            for x in range(cap + 1):
+                assert law[x] == _row_point(ps, x)
+
+
+def _random_fixed_points(rng, count):
+    """Masked 0/1 fixed points of the binary fill, some after a few kept fills."""
+    for _ in range(count):
+        m, n = (int(x) for x in rng.integers(2, 8, size=2))
+        ones = rng.random((m, n)) < rng.uniform(0.2, 0.8)
+        zero = (rng.random((m, n)) < 0.2) & ~ones
+        t = MaskedTable.from_margins(ones.sum(axis=1), ones.sum(axis=0), zero)
+        fill_in_place((), t, "binary", range(m + n))
+        for _ in range(rng.integers(0, 4)):
+            opens = np.argwhere(~t.mask)
+            if len(opens) == 0:
+                break
+            i, j = opens[rng.integers(0, len(opens))]
+            try:
+                fill_in_place([(i, j, int(rng.integers(0, 2)))], t, "binary")
+            except ContradictionError:
+                pass
+        yield t
+
+
+class _Stop(Exception):
+    pass
+
+
+def _decision_weights(monkeypatch, i, j, t, strategy, p):
+    """The two weights `_entry_decision` hands to `choose_bit`, with `t` left as it was."""
+    seen = []
+
+    def record(w0, w1, *rest):
+        seen.append((w0, w1))
+        raise _Stop
+
+    monkeypatch.setattr(binary_sampler, "choose_bit", record)
+    with pytest.raises(_Stop):
+        _entry_decision(i, j, t, strategy, p, strategy.oracle, None, None)
+    return seen[0]
+
+
+def test_quiet_weights_equal_the_trial_fill_weights(monkeypatch):
+    # on random masked fixed points each decision's weights equal, with ==,
+    # those of filling the candidate in place, weighing and retracting it:
+    # full-line under refreshed and random parameters, and exact counts; the
+    # table is left as it was
+    rng = np.random.default_rng(59)
+    full_line = BinaryStrategy()
+    oracle = CountOracle()
+    exact = BinaryStrategy(kind="exact", oracle=oracle)
+    quiet = loud = 0
+    for t in _random_fixed_points(rng, 80):
+        state = repr([t.cells, t.closed, t.r_res, t.c_res, t.open_r, t.open_c])
+        for i, j in np.argwhere(~t.mask):
+            i, j = int(i), int(j)
+            for p in (_refresh_params(t), rng.random(t.n).tolist()):
+                want, counts = [0, 0], [0, 0]
+                for k in (0, 1):
+                    both = _quiet(t.r_res[i], t.open_r[i], k) and _quiet(t.c_res[j], t.open_c[j], k)
+                    quiet += both
+                    loud += not both
+                    try:
+                        forced = fill_in_place([(i, j, k)], t, "binary")
+                    except ContradictionError:
+                        continue
+                    assert not both or forced == [(i, j, k)]
+                    prod = 1.0
+                    for _, l, v in forced:
+                        prod *= p[l] if v else (1.0 - p[l])
+                    want[k] = prod * full_line_weight(i, j, 0, t, p)
+                    counts[k] = oracle.count_binary_tables(t.r_res, t.c_res, t.closed)
+                    t.retract(forced)
+                assert _decision_weights(monkeypatch, i, j, t, full_line, p) == tuple(want)
+            assert _decision_weights(monkeypatch, i, j, t, exact, None) == tuple(counts)
+        assert repr([t.cells, t.closed, t.r_res, t.c_res, t.open_r, t.open_c]) == state
+    assert quiet > 1000 and loud > 1000
+
+
+def test_quiet_decisions_make_no_trial_fill(monkeypatch):
+    # a decision whose two candidates both leave their lines forcing nothing
+    # never calls the propagation routine; a forcing one, on the 2x2
+    # permutation instance, fills both candidates in place
+    calls = []
+    fill = binary_sampler.fill_in_place
+
+    def counted(*args):
+        calls.append(args[0])
+        return fill(*args)
+
+    monkeypatch.setattr(binary_sampler, "fill_in_place", counted)
+    for strategy in (BinaryStrategy(), BinaryStrategy(kind="exact", oracle=CountOracle())):
+        bits = set()
+        for s in range(4):
+            t = MaskedTable.from_margins([2] * 4, [2] * 4)
+            p = _refresh_params(t)
+            diag = SamplerDiagnostics()
+            bit = _entry_decision(0, 0, t, strategy, p, strategy.oracle, batch_rng(5, s), diag)
+            bits.add(bit)
+            assert calls == []
+            assert t.closed[0][0] and t.cells[0][0] == bit and t.r_res[0] == 2 - bit
+            assert sum(map(sum, t.closed)) == 1 and diag.bits_consumed == 1
+            if strategy.kind == "full-line":
+                assert p == _refresh_params(t)
+        assert bits == {0, 1}
+        t = MaskedTable.from_margins([1, 1], [1, 1])
+        _entry_decision(0, 0, t, strategy, _refresh_params(t), strategy.oracle,
+                        batch_rng(5, 9), SamplerDiagnostics())
+        assert calls == [[(0, 0, 0)], [(0, 0, 1)]] and t.is_complete()
+        calls.clear()
 
 
 class _FrozenList(list):

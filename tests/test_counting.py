@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bittables import counting
 from bittables.counting import (
     CountOracle,
     CountQuery,
@@ -172,3 +173,69 @@ def test_colmasks_match_cell_loop():
     assert _colmasks(np.ones((70, 1), dtype=bool), 70, 1) == ((1 << 70) - 1,)
     with pytest.raises(ValueError):
         _colmasks(np.zeros((2, 3), dtype=bool), 3, 2)
+
+
+def _columns_expanded(monkeypatch, count):
+    """Run `count` on a fresh oracle; return its result and its `_columns` calls."""
+    calls = [0]
+    columns = counting._columns
+
+    def counted(*args):
+        calls[0] += 1
+        return columns(*args)
+
+    monkeypatch.setattr(counting, "_columns", counted)
+    result = count(CountOracle())
+    monkeypatch.setattr(counting, "_columns", columns)
+    return result, calls[0]
+
+
+def test_spent_rows_keep_the_sorted_memo_keys(monkeypatch):
+    # a row with residual 0 takes 0 in every column whatever its mask, so it
+    # does not stop residuals being sorted into the memo key: a fixed-point
+    # query whose spent row is fully masked expands as many columns as the
+    # same query without that row, and fewer than under the rule that asked
+    # every mask column to cover all rows or none
+    zero = np.zeros((6, 6), dtype=bool)
+    zero[0] = True
+    r, c = [0, 3, 3, 3, 3, 3], [3, 3, 3, 2, 2, 2]
+    spent = _columns_expanded(monkeypatch, lambda o: o.count_binary_tables(r, c, zero))
+    dropped = _columns_expanded(monkeypatch, lambda o: o.count_binary_tables(r[1:], c))
+
+    def all_or_none(q):
+        full = (1 << len(q.r)) - 1
+        out = [True] * (len(q.c) + 1)
+        for j in range(len(q.c) - 1, -1, -1):
+            out[j] = out[j + 1] and q.w[j] in (0, full) and q.o[j] in (0, full)
+        return out
+
+    monkeypatch.setattr(counting, "_suffix_symmetric", all_or_none)
+    before = _columns_expanded(monkeypatch, lambda o: o.count_binary_tables(r, c, zero))
+    assert spent[0] == dropped[0] == before[0] > 0
+    assert spent[1] == dropped[1] < before[1]
+
+
+def test_counts_with_spent_rows_match_bruteforce():
+    # random masked integer and 0/1 queries, many with rows of residual 0
+    # under partial or full masks, against the row-by-row oracles
+    rng = np.random.default_rng(83)
+    spent = 0
+    for _ in range(300):
+        binary = bool(rng.integers(0, 2))
+        m, n = (int(x) for x in rng.integers(1, 5 if binary else 4, size=2))
+        top = 1 if binary else 3
+        cells = rng.integers(0, top + 1, size=(m, n)) * (rng.random((m, n)) < 0.6)
+        cells[rng.random(m) < 0.35] = 0
+        r, c = cells.sum(axis=1), cells.sum(axis=0)
+        zero = rng.random((m, n)) < 0.3
+        zero[r == 0] |= rng.random((int(np.sum(r == 0)), n)) < 0.7
+        if rng.random() < 0.2:  # an unbalanced or unreachable query counts 0
+            c[rng.integers(0, n)] += 1
+        spent += int(np.sum(r == 0))
+        if binary:
+            assert count_binary_tables(r, c, zero) == oracles.count_binary(r, c, zero)
+        else:
+            even = rng.random((m, n)) < 0.3
+            want = oracles.count_integer(r, c, zero, even)
+            assert count_integer_tables(r, c, zero, even) == want
+    assert spent > 150
