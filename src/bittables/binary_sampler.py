@@ -4,13 +4,13 @@
 scan the Latin cascade calls directly.  Cells are decided in column-major
 order on one table per attempt; dead states restart it.  A candidate bit is
 weighed by its completion count under "exact" and by its proposal
-probability times a Poisson-binomial line weight under "full-line".  The
-table is a fixed point of the binary fill before every decision, so a
-*quiet* candidate, one that leaves its row and column forcing nothing, fills
-just its own cell: it is weighed with no trial fill, and under full-line
-both quiet candidates read their row factor off one shared convolution of
-the row.  Any other candidate is filled in place, weighed and retracted.
-The chosen bit's fill is kept.  Line weights are a binomial for the column,
+probability times a Poisson-binomial line weight under "full-line".  A
+candidate is filled in place, weighed and retracted, and the chosen bit's
+fill is kept.  The table is a fixed point of the binary fill before every
+decision, so a *quiet* candidate, one that leaves its row and column
+forcing nothing, fills just its own cell: under full-line it is weighed
+with no trial fill, and both quiet candidates read their row point off one
+shared convolution of the row.  Line weights are a binomial for the column,
 whose cells share one parameter, times a real sequential convolution for
 the row.
 """
@@ -90,24 +90,33 @@ def _binomial_point(n: int, q: float, k: int) -> float:
         return _row_point([q] * n, k)
 
 
-def full_line_weight(i, j, k, t: MaskedTable, p) -> float:
+def _row_params(i, j, t: MaskedTable, p) -> list:
+    """The column parameters of row i's open cells, (i, j) excluded."""
+    return [p[l] for l in t.open_in_row(i) if l != j]
+
+
+def full_line_weight(i, j, k, t: MaskedTable, p, row_law=None) -> float:
     """Rejection weight for bit k at (i, j) over its full row and column.
 
     The weight is the probability that the open cells of row i and column j,
     the cell itself excluded, exactly absorb the residual margins net of k,
     each cell an independent Bernoulli with its column's parameter p[l]: a
     Poisson-binomial point for the row and a binomial one for the column.
+    `row_law`, when given, is `_row_law` of `_row_params(i, j, t, p)` with a
+    cap of at least r_res[i] - k, and the row point is read off it.
     Unreachable residuals give 0.0.
     """
     r_i = t.r_res[i] - k
     c_j = t.c_res[j] - k
     if r_i < 0 or c_j < 0:
         return 0.0
-    row = [p[l] for l in t.open_in_row(i) if l != j]
-    n_col = t.open_c[j] - (not t.closed[i][j])
-    if r_i > len(row) or c_j > n_col:
+    cell_open = not t.closed[i][j]
+    n_col = t.open_c[j] - cell_open
+    if r_i > t.open_r[i] - cell_open or c_j > n_col:
         return 0.0
-    return _row_point(row, r_i) * _binomial_point(n_col, p[j], c_j)
+    if row_law is None:
+        row_law = _row_law(_row_params(i, j, t, p), r_i)
+    return row_law[r_i] * _binomial_point(n_col, p[j], c_j)
 
 
 def _quiet(res: int, n_open: int, k: int) -> bool:
@@ -119,16 +128,16 @@ def _quiet(res: int, n_open: int, k: int) -> bool:
 def _entry_decision(i, j, t, strategy, p, oracle, rng, diag):
     """Decide the bit at open cell (i, j) and commit its forced fill on `t`.
 
-    `t` is a fixed point, so a quiet candidate's fill is its cell alone:
-    exact counts it with the cell finalized and retracted, and full-line
-    reads its row factor off one convolution of row i's other open cells,
-    shared by both candidates.  Any other candidate is filled in place,
-    weighed and retracted; one that contradicts weighs 0.  Exact weighs the
-    completion count of the filled state, which equals the count with the
-    cell alone committed, since forced cells hold in every completion.
-    Full-line weighs the proposal probability of the cells the fill forces
-    times the line weight under the column parameters `p`.  The chosen fill
-    is replayed; under full-line with `refresh` its columns update `p`.
+    Each candidate is filled in place, weighed and retracted; one that
+    contradicts weighs 0.  Exact weighs the completion count of the filled
+    state, which equals the count with the cell alone committed, since
+    forced cells hold in every completion.  Full-line weighs the proposal
+    probability of the cells the fill forces times the line weight under the
+    column parameters `p`.  Under full-line, `t` being a fixed point, a quiet
+    candidate's fill is its cell alone: it is weighed on `t` as it stands,
+    with no trial fill, and both quiet candidates read their row point off
+    one convolution of row i's other open cells.  The chosen fill is
+    replayed; under full-line with `refresh` its columns update `p`.
     """
     exact = strategy.kind == "exact"
     r, c = t.r_res[i], t.c_res[j]
@@ -136,17 +145,11 @@ def _entry_decision(i, j, t, strategy, p, oracle, rng, diag):
     fills = [None, None]
     weights = [0, 0]
     for k in (0, 1):
-        if _quiet(r, t.open_r[i], k) and _quiet(c, t.open_c[j], k):
-            fills[k] = [(i, j, k)]
-            if exact:
-                t.finalize(i, j, k)
-                weights[k] = oracle.count_binary_tables(t.r_res, t.c_res, t.closed)
-                t.retract(fills[k])
-                continue
+        if not exact and _quiet(r, t.open_r[i], k) and _quiet(c, t.open_c[j], k):
             if row_law is None:
-                row_law = _row_law([p[l] for l in t.open_in_row(i) if l != j], r)
-            column = _binomial_point(t.open_c[j] - 1, p[j], c - k)
-            weights[k] = (p[j] if k else 1.0 - p[j]) * (row_law[r - k] * column)
+                row_law = _row_law(_row_params(i, j, t, p), r)
+            fills[k] = [(i, j, k)]
+            weights[k] = (p[j] if k else 1.0 - p[j]) * full_line_weight(i, j, k, t, p, row_law)
             continue
         try:
             forced = fill_in_place([(i, j, k)], t, "binary")

@@ -201,9 +201,9 @@ def test_quiet_weights_equal_the_trial_fill_weights(monkeypatch):
 
 
 def test_quiet_decisions_make_no_trial_fill(monkeypatch):
-    # a decision whose two candidates both leave their lines forcing nothing
-    # never calls the propagation routine; a forcing one, on the 2x2
-    # permutation instance, fills both candidates in place
+    # under full-line a decision whose two candidates both leave their lines
+    # forcing nothing never calls the propagation routine; a forcing one, on
+    # the 2x2 permutation instance, fills both candidates in place
     calls = []
     fill = binary_sampler.fill_in_place
 
@@ -212,25 +212,22 @@ def test_quiet_decisions_make_no_trial_fill(monkeypatch):
         return fill(*args)
 
     monkeypatch.setattr(binary_sampler, "fill_in_place", counted)
-    for strategy in (BinaryStrategy(), BinaryStrategy(kind="exact", oracle=CountOracle())):
-        bits = set()
-        for s in range(4):
-            t = MaskedTable.from_margins([2] * 4, [2] * 4)
-            p = _refresh_params(t)
-            diag = SamplerDiagnostics()
-            bit = _entry_decision(0, 0, t, strategy, p, strategy.oracle, batch_rng(5, s), diag)
-            bits.add(bit)
-            assert calls == []
-            assert t.closed[0][0] and t.cells[0][0] == bit and t.r_res[0] == 2 - bit
-            assert sum(map(sum, t.closed)) == 1 and diag.bits_consumed == 1
-            if strategy.kind == "full-line":
-                assert p == _refresh_params(t)
-        assert bits == {0, 1}
-        t = MaskedTable.from_margins([1, 1], [1, 1])
-        _entry_decision(0, 0, t, strategy, _refresh_params(t), strategy.oracle,
-                        batch_rng(5, 9), SamplerDiagnostics())
-        assert calls == [[(0, 0, 0)], [(0, 0, 1)]] and t.is_complete()
-        calls.clear()
+    strategy = BinaryStrategy()
+    bits = set()
+    for s in range(4):
+        t = MaskedTable.from_margins([2] * 4, [2] * 4)
+        p = _refresh_params(t)
+        diag = SamplerDiagnostics()
+        bits.add(_entry_decision(0, 0, t, strategy, p, None, batch_rng(5, s), diag))
+        assert calls == []
+        assert t.closed[0][0] and t.r_res[0] == 2 - t.cells[0][0]
+        assert sum(map(sum, t.closed)) == 1 and diag.bits_consumed == 1
+        assert p == _refresh_params(t)
+    assert bits == {0, 1}
+    t = MaskedTable.from_margins([1, 1], [1, 1])
+    _entry_decision(0, 0, t, strategy, _refresh_params(t), None, batch_rng(5, 9),
+                    SamplerDiagnostics())
+    assert calls == [[(0, 0, 0)], [(0, 0, 1)]] and t.is_complete()
 
 
 class _FrozenList(list):
