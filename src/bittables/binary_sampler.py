@@ -9,10 +9,10 @@ candidate is filled in place, weighed and retracted, and the chosen bit's
 fill is kept.  The table is a fixed point of the binary fill before every
 decision, so a *quiet* candidate, one that leaves its row and column
 forcing nothing, fills just its own cell: under full-line it is weighed
-with no trial fill, and both quiet candidates read their row point off one
-shared convolution of the row.  Line weights are a binomial for the column,
-whose cells share one parameter, times a real sequential convolution for
-the row.
+with no trial fill.  Both candidates, quiet or filled, read their row point
+off one shared convolution of the row whenever their fill forces no other
+cell of it.  Line weights are a binomial for the column, whose cells share
+one parameter, times a real sequential convolution for the row.
 """
 
 from __future__ import annotations
@@ -135,35 +135,41 @@ def _entry_decision(i, j, t, strategy, p, oracle, rng, diag):
     probability of the cells the fill forces times the line weight under the
     column parameters `p`.  Under full-line, `t` being a fixed point, a quiet
     candidate's fill is its cell alone: it is weighed on `t` as it stands,
-    with no trial fill, and both quiet candidates read their row point off
-    one convolution of row i's other open cells.  The chosen fill is
-    replayed; under full-line with `refresh` its columns update `p`.
+    with no trial fill.  Every full-line candidate whose fill leaves row i's
+    other open cells as they are, quiet or not, reads its row point off one
+    convolution of those cells, built at most once per decision.  The
+    chosen fill is replayed; under full-line with `refresh` its columns
+    update `p`.
     """
     exact = strategy.kind == "exact"
-    r, c = t.r_res[i], t.c_res[j]
+    r, c, n_row = t.r_res[i], t.c_res[j], t.open_r[i]
     row_law = None
     fills = [None, None]
     weights = [0, 0]
     for k in (0, 1):
-        if not exact and _quiet(r, t.open_r[i], k) and _quiet(c, t.open_c[j], k):
-            if row_law is None:
-                row_law = _row_law(_row_params(i, j, t, p), r)
-            fills[k] = [(i, j, k)]
-            weights[k] = (p[j] if k else 1.0 - p[j]) * full_line_weight(i, j, k, t, p, row_law)
-            continue
-        try:
-            forced = fill_in_place([(i, j, k)], t, "binary")
-        except ContradictionError:
-            continue
+        quiet = not exact and _quiet(r, t.open_r[i], k) and _quiet(c, t.open_c[j], k)
+        if quiet:  # its fill is its cell alone: weigh it on t as it stands
+            forced = [(i, j, k)]
+        else:
+            try:
+                forced = fill_in_place([(i, j, k)], t, "binary")
+            except ContradictionError:
+                continue
         if exact:
             weights[k] = oracle.count_binary_tables(t.r_res, t.c_res, t.closed)
         else:
             prod = 1.0
             for s, l, v in forced:
                 prod *= p[l] if v else (1.0 - p[l])
-            weights[k] = prod * full_line_weight(i, j, 0, t, p)
+            shared = None
+            if t.open_r[i] >= n_row - 1:  # the fill closed no other cell of row i
+                if row_law is None:
+                    row_law = _row_law(_row_params(i, j, t, p), r)
+                shared = row_law
+            weights[k] = prod * full_line_weight(i, j, k if quiet else 0, t, p, shared)
         fills[k] = forced
-        t.retract(forced)
+        if not quiet:
+            t.retract(forced)
     bit = choose_bit(weights[0], weights[1], rng, diag, (i, j))
     update = not exact and strategy.refresh
     for s, l, v in fills[bit]:

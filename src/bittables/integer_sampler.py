@@ -8,12 +8,16 @@ the next level.  The front door, every level start and every bit trial
 propagate forced cells in place through `table.fill_in_place`.  Bit decisions
 come either from exact completion counts or from a factorized approximation
 of the conditional cell laws; both try each candidate in place, weigh it and
-retract it, and the approximate route restarts on dead states.  Within a
-level the column parameters are fixed, so the approximate route memoises its
-line laws per level on the level's `ColumnParamScheme`, as mass vectors: each
-column law, which the scored cell's conditioned law shares, and each
-conditioned cell law.  A level that ends with an odd residual, which the
-factorized weights cannot see coming, is a dead state too.
+retract it, and the approximate route restarts on dead states.  The
+approximate weight's column law cancels against the scored cell's
+conditioned law, so neither is built: a decision builds the law of row i's
+other open cells, the scored cell's own law and the law of column j's other
+cells once, and both candidates read them, unless a candidate pins cells and
+rebuilds them from its pinned state.  Within a level the column parameters
+are fixed, so the column and conditioned cell laws are memoised per level on
+the level's `ColumnParamScheme`, as mass vectors.  A level that ends with an
+odd residual, which the factorized weights cannot see coming, is a dead
+state too.
 """
 
 from __future__ import annotations
@@ -68,13 +72,13 @@ def _column_law(scheme: ColumnParamScheme, q, n_even: int, n_plain: int, c: int)
 
 
 def _cell_law(scheme: ColumnParamScheme, q, cell_even: bool, rest_even: int, rest_plain: int,
-              c: int, total=None) -> np.ndarray | None:
+              c: int) -> np.ndarray | None:
     """Mass vector of the conditioned cell law, None where its column sum is unreachable."""
     key = (float(q), cell_even, rest_even, rest_plain, c)
     if key in scheme.cell_laws:
         return scheme.cell_laws[key]
     try:
-        masses = conditioned_cell_pmf(cell_even, q, rest_even, rest_plain, c, total)
+        masses = conditioned_cell_pmf(cell_even, q, rest_even, rest_plain, c)
         masses.flags.writeable = False
     except ConditioningError:
         masses = None
@@ -82,7 +86,37 @@ def _cell_law(scheme: ColumnParamScheme, q, cell_even: bool, rest_even: int, res
     return masses
 
 
-def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -> float:
+def _line_laws(i, j, t: MaskedTable, scheme: ColumnParamScheme, r_cap: int, c_cap: int):
+    """The laws (others, base, rest) that `approx_bit_weight` reads for cell (i, j) of `t`.
+
+    `others` convolves row i's open cells other than (i, j), each conditioned
+    on its own column sum, truncated to {0..r_cap}; it is zero where one of
+    those column sums is unreachable.  `base` is the scored cell's law, twice
+    a geometric(q**2) variable while the cell is open and a point mass at 0
+    once it is closed, and `rest` the law of column j's other open cells,
+    even above row i and plain below it, both truncated to {0..c_cap}.
+    """
+    q = scheme.q
+    col_open = t.open_c
+    cell_open = not t.closed[i][j]
+    above = bisect_left(t.open_in_col(j), i)  # open cells of column j above row i
+    base = _column_law(scheme, q[j], int(cell_open), 0, c_cap)
+    rest = _column_law(scheme, q[j], above, col_open[j] - cell_open - above, c_cap)
+    others = None
+    for l in t.open_in_row(i):
+        if l == j:
+            continue
+        even = l < j  # cells of earlier columns hold their bit
+        rest_even = col_open[l] - 1 if even else 0
+        cell = _cell_law(scheme, q[l], even, rest_even, col_open[l] - 1 - rest_even, t.c_res[l])
+        if cell is None:
+            return np.zeros(1), base, rest
+        # row law truncated to {0..r_cap} after every convolution
+        others = cell if others is None else np.convolve(others, cell)[: r_cap + 1]
+    return (np.ones(1) if others is None else others), base, rest
+
+
+def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme, laws=None) -> float:
     """Factorized weight for assigning bit k to cell (i, j).
 
     `t` is a `MaskedTable` with residual margins in units of the level bit
@@ -92,40 +126,26 @@ def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -
     untouched.  The weight is the probability of the cell's column
     residual under the mixed even/plain column law times the probability of
     its row residual under a convolution of per-cell laws, each conditioned
-    on its own column sum.  The candidate bit is folded into both residuals
-    up front.  Returns 0.0 for unreachable residuals.  The line laws are
-    memoised on `scheme`.
+    on its own column sum.  The column law cancels against the scored
+    cell's conditioned law, which leaves one sum over the cell's value x:
+    base[x] * rest[c - x] * others[r - x], with the laws of `_line_laws` and
+    the residuals r, c net of k.  `laws`, when given, are `_line_laws` of
+    `t` with caps of at least those residuals, so that both candidates of a
+    decision read one build.  Returns 0.0 for unreachable residuals.  The
+    column and cell laws are memoised on `scheme`.
     """
-    q = scheme.q
     r_i = t.r_res[i] - k
     c_j = t.c_res[j] - k
     if r_i < 0 or c_j < 0:
         return 0.0
-    col_open = t.open_c
-    above = bisect_left(t.open_in_col(j), i)  # open cells of column j above row i
-    n_even = above + (not t.closed[i][j])
-    col_law = _column_law(scheme, q[j], n_even, col_open[j] - n_even, c_j)
-    col_factor = float(col_law[c_j]) if c_j < len(col_law) else 0.0
-    if col_factor <= 0.0:
+    others, base, rest = laws if laws is not None else _line_laws(i, j, t, scheme, r_i, c_j)
+    lo = max(0, r_i - len(others) + 1)
+    hi = min(r_i, c_j)
+    if lo > hi:
         return 0.0
-    conv = None
-    for l in t.open_in_row(i):
-        c_l, total = t.c_res[l], None
-        if l < j:
-            cell_even, rest_even = True, col_open[l] - 1
-        elif l == j:  # the cell is open: its whole column's law is the column factor's
-            cell_even, rest_even, c_l, total = True, above, c_j, col_law
-        else:
-            cell_even, rest_even = False, 0
-        rest_plain = col_open[l] - 1 - rest_even
-        cell = _cell_law(scheme, q[l], cell_even, rest_even, rest_plain, c_l, total)
-        if cell is None:
-            return 0.0
-        # row law truncated to {0..r_i} after every convolution
-        conv = cell if conv is None else np.convolve(conv, cell)[: r_i + 1]
-    if conv is None:
-        return col_factor if r_i == 0 else 0.0
-    return col_factor * float(conv[r_i]) if r_i < conv.size else 0.0
+    xs = slice(lo, hi + 1)
+    return float(np.dot(base[xs] * rest[c_j - hi : c_j - lo + 1][::-1],
+                        others[r_i - hi : r_i - lo + 1][::-1]))
 
 
 def _apply_bit(t: MaskedTable, i: int, j: int, k: int) -> list:
@@ -169,6 +189,8 @@ def _decide(t, i, j, level, strategy, scheme, oracle, rng, diag, transposed) -> 
     if strategy.kind == "exact":
         forced_even = [[not shut and (l, s) <= (j, i) for l, shut in enumerate(row)]
                        for s, row in enumerate(t.closed)]
+    else:  # a candidate that pins nothing leaves these laws as they are
+        laws = _line_laws(i, j, t, scheme, t.r_res[i], t.c_res[j])
     for k in (0, 1):
         try:
             pinned = _apply_bit(t, i, j, k)
@@ -181,7 +203,7 @@ def _decide(t, i, j, level, strategy, scheme, oracle, rng, diag, transposed) -> 
             prod = (q[j] if k else 1.0) / (1.0 + q[j])
             for s, l, _ in pinned:  # cells at or before (i, j) in scan order hold their bit
                 prod *= (1.0 - q[l] * q[l]) if (l, s) <= (j, i) else (1.0 - q[l])
-            weights[k] = prod * approx_bit_weight(i, j, 0, t, scheme)
+            weights[k] = prod * approx_bit_weight(i, j, 0, t, scheme, None if pinned else laws)
         _retract_bit(t, i, j, k, pinned)
     site = (j, i) if transposed else (i, j)  # the caller's cell
     bit = choose_bit(weights[0], weights[1], rng, diag, site, level)

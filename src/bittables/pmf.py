@@ -75,12 +75,15 @@ def negative_binomial_dist(m: int, q: float, cap: int) -> np.ndarray:
         return np.array([1.0])
     if not (0.0 < q < 1.0):
         raise ValueError(f"parameter must lie in [0, 1), got {q}")
-    # stable forward recurrence: f(0) = (1-q)^m, f(k+1) = f(k) * q * (m+k)/(k+1)
-    masses = np.empty(cap + 1)
-    masses[0] = (1.0 - q) ** m
+    # stable forward recurrence: f(0) = (1-q)^m, f(k+1) = f(k) * q * (m+k)/(k+1),
+    # on Python floats, one array built at the end
+    q = float(q)
+    f = (1.0 - q) ** m
+    masses = [f]
     for k in range(cap):
-        masses[k + 1] = masses[k] * q * (m + k) / (k + 1)
-    return masses
+        f = f * q * (m + k) / (k + 1)
+        masses.append(f)
+    return np.array(masses)
 
 
 def poisson_binomial_point(ps: np.ndarray, k: int) -> float:
@@ -154,25 +157,23 @@ def _even_cell_base(q: float, cap: int) -> np.ndarray:
 
 
 def conditioned_cell_pmf(
-    even_cell: bool, q: float, rest_even: int, rest_plain: int, c_res: int, total=None
+    even_cell: bool, q: float, rest_even: int, rest_plain: int, c_res: int
 ) -> np.ndarray:
     """Law of one column cell conditioned on its column summing to c_res.
 
     The cell is geometric(q) (plain) or twice-geometric(q**2) (even class);
     the rest of the column contributes `rest_even` even-class and
-    `rest_plain` plain cells.  `total`, the law of the whole column cell
-    included, is built here unless the caller already holds it.  Returns
-    the masses on {0..c_res}.  Raises ConditioningError when the column sum
-    c_res has probability zero under the joint model.
+    `rest_plain` plain cells.  Returns the masses on {0..c_res}.  Raises
+    ConditioningError when the column sum c_res has probability zero under
+    the joint model.
     """
     if c_res < 0:
         raise ConditioningError(f"column residual {c_res} is negative")
     base = _even_cell_base(q, c_res) if even_cell else geometric_dist(q, c_res)
     rest = mixed_column_sum_pmf(q, rest_even, rest_plain, c_res)
-    if total is None:
-        total = mixed_column_sum_pmf(
-            q, rest_even + (1 if even_cell else 0), rest_plain + (0 if even_cell else 1), c_res
-        )
+    total = mixed_column_sum_pmf(
+        q, rest_even + (1 if even_cell else 0), rest_plain + (0 if even_cell else 1), c_res
+    )
     denom = total[c_res] if c_res < len(total) else 0.0
     if denom <= 0.0:
         raise ConditioningError(

@@ -204,3 +204,63 @@ def colmasks_loop(mask, m, n):
                 bits |= 1 << i
         out.append(bits)
     return tuple(out)
+
+
+def negative_binomial_dist_loop(m, q, cap):
+    """`negative_binomial_dist` as the package first computed it: the forward
+    recurrence written one numpy element at a time.  It pins the float
+    arithmetic of the list-built version; the law itself is checked against
+    `nb_pmf`."""
+    if m == 0 or q == 0.0:
+        return np.array([1.0])
+    masses = np.empty(cap + 1)
+    masses[0] = (1.0 - q) ** m
+    for k in range(cap):
+        masses[k + 1] = masses[k] * q * (m + k) / (k + 1)
+    return masses
+
+
+def approx_bit_weight_conditioned(i, j, k, t, q):
+    """The integer `approx` line weight as the package first computed it.
+
+    The column factor is the law of column j's open cells at its residual,
+    the scored cell even, and the row factor convolves every open cell of
+    row i, the scored one included, each conditioned on its own column sum.
+    Its column law cancels against the column factor in exact arithmetic;
+    this version keeps both, to check the cancelled form against.  `t` is
+    a `MaskedTable` scanned in column-major order up to (i, j), with
+    residuals in units of the level bit; `q` holds the column parameters.
+    """
+    from bisect import bisect_left
+
+    from bittables.errors import ConditioningError
+    from bittables.pmf import conditioned_cell_pmf, mixed_column_sum_pmf
+
+    r_i = t.r_res[i] - k
+    c_j = t.c_res[j] - k
+    if r_i < 0 or c_j < 0:
+        return 0.0
+    col_open = t.open_c
+    above = bisect_left(t.open_in_col(j), i)
+    n_even = above + (not t.closed[i][j])
+    col_law = mixed_column_sum_pmf(q[j], n_even, col_open[j] - n_even, c_j)
+    col_factor = mass_at(col_law, c_j)
+    if col_factor <= 0.0:
+        return 0.0
+    conv = None
+    for l in t.open_in_row(i):
+        c_l = t.c_res[l]
+        if l < j:
+            cell_even, rest_even = True, col_open[l] - 1
+        elif l == j:
+            cell_even, rest_even, c_l = True, above, c_j
+        else:
+            cell_even, rest_even = False, 0
+        try:
+            cell = conditioned_cell_pmf(cell_even, q[l], rest_even, col_open[l] - 1 - rest_even, c_l)
+        except ConditioningError:
+            return 0.0
+        conv = cell if conv is None else np.convolve(conv, cell)[: r_i + 1]
+    if conv is None:
+        return col_factor if r_i == 0 else 0.0
+    return col_factor * mass_at(conv, r_i)

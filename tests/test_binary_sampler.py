@@ -167,12 +167,17 @@ def test_quiet_weights_equal_the_trial_fill_weights(monkeypatch):
     # on random masked fixed points each decision's weights equal, with ==,
     # those of filling the candidate in place, weighing and retracting it:
     # full-line under refreshed and random parameters, and exact counts; the
-    # table is left as it was
+    # table is left as it was.  Filled candidates that force no other cell
+    # of row i read the decision's one row convolution, as quiet ones do.
     rng = np.random.default_rng(59)
     full_line = BinaryStrategy()
     oracle = CountOracle()
     exact = BinaryStrategy(kind="exact", oracle=oracle)
-    quiet = loud = 0
+    row_laws = []
+    row_law = binary_sampler._row_law
+    monkeypatch.setattr(binary_sampler, "_row_law",
+                        lambda ps, cap: row_laws.append(list(ps)) or row_law(ps, cap))
+    quiet = loud = row_alone = 0
     for t in _random_fixed_points(rng, 80):
         state = repr([t.cells, t.closed, t.r_res, t.c_res, t.open_r, t.open_c])
         for i, j in np.argwhere(~t.mask):
@@ -188,16 +193,19 @@ def test_quiet_weights_equal_the_trial_fill_weights(monkeypatch):
                     except ContradictionError:
                         continue
                     assert not both or forced == [(i, j, k)]
+                    row_alone += not both and all(s != i or l == j for s, l, _ in forced)
                     prod = 1.0
                     for _, l, v in forced:
                         prod *= p[l] if v else (1.0 - p[l])
                     want[k] = prod * full_line_weight(i, j, 0, t, p)
                     counts[k] = oracle.count_binary_tables(t.r_res, t.c_res, t.closed)
                     t.retract(forced)
+                row_laws.clear()
                 assert _decision_weights(monkeypatch, i, j, t, full_line, p) == tuple(want)
+                assert row_laws.count(binary_sampler._row_params(i, j, t, p)) <= 1
             assert _decision_weights(monkeypatch, i, j, t, exact, None) == tuple(counts)
         assert repr([t.cells, t.closed, t.r_res, t.c_res, t.open_r, t.open_c]) == state
-    assert quiet > 1000 and loud > 1000
+    assert quiet > 1000 and loud > 1000 and row_alone > 300
 
 
 def test_quiet_decisions_make_no_trial_fill(monkeypatch):

@@ -214,11 +214,11 @@ def test_line_laws_are_memoised_on_the_scheme(monkeypatch):
     t = MaskedTable.from_margins([10, 56, 13], [20, 14, 18, 27])
     scheme = column_parameters(t.c_res, [0] * 4, 3)
     first = [approx_bit_weight(0, 0, k, t, scheme) for k in (0, 1)]
-    # the two candidates share the laws of columns 1..3; only column 0's
-    # residual differs between them
+    # the two candidates share the cell laws of columns 1..3; column 0's
+    # base and rest laws are cut at each candidate's own residual
     misses = dict(calls)
-    assert misses == {"mixed_column_sum_pmf": 2, "conditioned_cell_pmf": 5}
-    assert len(scheme.column_laws) == 2 and len(scheme.cell_laws) == 5
+    assert misses == {"mixed_column_sum_pmf": 4, "conditioned_cell_pmf": 3}
+    assert len(scheme.column_laws) == 4 and len(scheme.cell_laws) == 3
     again = [approx_bit_weight(0, 0, k, t, scheme) for k in (0, 1)]
     assert again == first and dict(calls) == misses
     # a fresh scheme with the same parameters starts empty and agrees
@@ -227,27 +227,119 @@ def test_line_laws_are_memoised_on_the_scheme(monkeypatch):
     assert [approx_bit_weight(0, 0, k, t, fresh) for k in (0, 1)] == first
 
 
-def test_scored_cell_shares_its_column_law(monkeypatch):
-    # the column factor's law at an open cell (i, j) is the whole-column law
-    # its own conditioned law divides by: the weight builds it once
-    calls = []
-    law = pmf.mixed_column_sum_pmf
+def test_decisions_build_their_line_laws_once(monkeypatch):
+    # an approx decision builds row i's other cells, the scored cell's base
+    # law and column j's rest once, before its candidates, and builds them
+    # again only from the state of a candidate that pins cells.  The scored
+    # cell's conditioned law, which would divide by its whole column's law,
+    # is never built: no cell law of column j is built while column j is
+    # scanned.
+    events = []
 
-    def counted(*args):
-        calls.append(args)
-        return law(*args)
+    def spy(name):
+        fn = getattr(integer_sampler, name)
 
-    monkeypatch.setattr(pmf, "mixed_column_sum_pmf", counted)
-    monkeypatch.setattr(integer_sampler, "mixed_column_sum_pmf", counted)
-    t = _square22()
-    scheme = column_parameters(t.c_res, [0, 0], 2)
-    assert approx_bit_weight(0, 0, 0, t, scheme) == 0.0625
-    # column 0 whole (1 even, 1 plain cell) once, then each cell law's rest,
-    # and column 1 whole for the plain cell (0, 1)
-    assert calls == [(0.5, 1, 1, 2), (0.5, 0, 1, 2), (0.5, 0, 1, 2), (0.5, 0, 2, 2)]
-    monkeypatch.undo()
-    shared = scheme.cell_laws[(0.5, True, 0, 1, 2)]
-    assert shared.tobytes() == conditioned_cell_pmf(True, scheme.q[0], 0, 1, 2).tobytes()
+        def wrapped(*args):
+            try:
+                out = fn(*args)
+            except Exception:
+                events.append((name, args, "raised"))
+                raise
+            events.append((name, args, out))
+            return out
+
+        monkeypatch.setattr(integer_sampler, name, wrapped)
+
+    for name in ("_apply_bit", "_line_laws", "conditioned_cell_pmf", "mixed_column_sum_pmf"):
+        spy(name)
+    decide = integer_sampler._decide
+    decisions = []
+
+    def recorded(t, i, j, level, strategy, scheme, *rest):
+        events.clear()
+        bit = decide(t, i, j, level, strategy, scheme, *rest)
+        decisions.append((scheme.q, j, list(events)))
+        return bit
+
+    monkeypatch.setattr(integer_sampler, "_decide", recorded)
+    for s in range(6):
+        for scan in ("column", "row"):
+            sample_contingency_table([10, 56, 13], [20, 14, 18, 27], rng=batch_rng(3, s),
+                                     scan=scan)
+    pins = unique = 0
+    for q, j, evs in decisions:
+        names = [e[0] for e in evs]
+        assert names.count("_line_laws") >= 1 and names.index("_line_laws") < names.index("_apply_bit")
+        trials = [e[2] for e in evs if e[0] == "_apply_bit"][:-1]  # the last one commits the bit
+        pinning = sum(1 for out in trials if out != "raised" and out)
+        pins += pinning
+        assert names.count("_line_laws") == 1 + pinning
+        assert names.count("mixed_column_sum_pmf") <= 2 * names.count("_line_laws")
+        assert all(e[1][0] == q[j] for e in evs if e[0] == "mixed_column_sum_pmf")
+        if list(q).count(q[j]) == 1:  # a cell law of another column cannot carry q[j]
+            unique += 1
+            assert all(e[1][1] != q[j] for e in evs if e[0] == "conditioned_cell_pmf")
+    assert len(decisions) > 300 and pins > 20 and unique > 300
+
+
+def test_weights_agree_with_the_uncancelled_form(monkeypatch):
+    # each approx decision's two weights match those of the uncancelled
+    # form, which builds the column law and the scored cell's conditioned
+    # law, to 1e-12 relative and with the same zeros.  Random masked draws
+    # under both scans reach every level state a scan position can hold; a
+    # candidate that pins cells, the scored cell among them, is weighed from
+    # the pinned state.
+    rng = np.random.default_rng(23)
+    decide = integer_sampler._decide
+    choose = integer_sampler.choose_bit
+    got = []
+
+    def record(w0, w1, *args):
+        got[:] = [w0, w1]
+        return choose(w0, w1, *args)
+
+    seen = Counter()
+
+    def checked(t, i, j, level, strategy, scheme, oracle, rng_, diag, transposed):
+        q = scheme.q
+        want = [0.0, 0.0]
+        for k in (0, 1):
+            try:
+                pinned = integer_sampler._apply_bit(t, i, j, k)
+            except ContradictionError:
+                continue
+            prod = (q[j] if k else 1.0) / (1.0 + q[j])
+            for s, l, _ in pinned:
+                prod *= (1.0 - q[l] * q[l]) if (l, s) <= (j, i) else (1.0 - q[l])
+            want[k] = prod * oracles.approx_bit_weight_conditioned(i, j, 0, t, q)
+            seen["pinned"] += bool(pinned)
+            seen["closed"] += t.closed[i][j]
+            integer_sampler._retract_bit(t, i, j, k, pinned)
+        got.clear()
+        try:
+            return decide(t, i, j, level, strategy, scheme, oracle, rng_, diag, transposed)
+        finally:
+            for w, ref in zip(got, want):
+                assert (w == 0.0) == (ref == 0.0), (w, ref)
+                assert abs(w - ref) <= 1e-12 * abs(ref), (w, ref)
+            seen["row" if transposed else "column"] += 1
+            seen["weights"] += len(got)
+            seen["zeros"] += want.count(0.0)
+
+    monkeypatch.setattr(integer_sampler, "choose_bit", record)
+    monkeypatch.setattr(integer_sampler, "_decide", checked)
+    for d in range(40):
+        m, n = (int(x) for x in rng.integers(2, 6, size=2))
+        e = rng.integers(0, int(rng.choice([3, 9, 25])) + 1, size=(m, n))
+        zero = rng.random((m, n)) < 0.3
+        e[zero] = 0
+        try:
+            sample_contingency_table(e.sum(1), e.sum(0), zero, rng=batch_rng(23, d),
+                                     scan=("column", "row")[d % 2], max_restarts=5)
+        except DeadStateError:
+            pass
+    assert seen["column"] > 200 and seen["row"] > 200
+    assert seen["pinned"] > 50 and seen["closed"] == seen["pinned"] and seen["zeros"] > 20
 
 
 def _state(t):

@@ -18,6 +18,7 @@ from oracles import (
     conditioned_cell_masses_loop,
     mass_at,
     nb_pmf,
+    negative_binomial_dist_loop,
     poisson_binomial_convolve,
 )
 
@@ -62,6 +63,20 @@ def test_negative_binomial_dist_recurrence_consistent():
     # m=0 and q=0 degenerate to a point mass at zero
     for d0 in (negative_binomial_dist(0, 0.4, 5), negative_binomial_dist(2, 0.0, 5)):
         assert np.array_equal(d0, [1.0])
+
+
+def test_negative_binomial_dist_bit_identical_to_array_loop():
+    # the recurrence on Python floats gives the same bytes as writing it into
+    # a numpy array one element at a time, for parameters given as Python
+    # floats, numpy scalars and the squared numpy scalars of even cells
+    rng = np.random.default_rng(5)
+    qs = [1e-9, 0.999999] + rng.random(28).tolist()
+    for m in range(9):
+        for q in qs:
+            for qq in (q, np.float64(q), np.float64(q) * np.float64(q)):
+                for cap in range(40):
+                    got = negative_binomial_dist(m, qq, cap)
+                    assert got.tobytes() == negative_binomial_dist_loop(m, qq, cap).tobytes()
 
 
 def test_geometric_dist_truncation():
