@@ -7,17 +7,19 @@ immediately, and at level end all residual margins are even and halve for
 the next level.  The front door, every level start and every bit trial
 propagate forced cells in place through `table.fill_in_place`.  Bit decisions
 come either from exact completion counts or from a factorized approximation
-of the conditional cell laws; both try each candidate in place, weigh it and
-retract it, and the approximate route restarts on dead states.  The
-approximate weight's column law cancels against the scored cell's
-conditioned law, so neither is built: a decision builds the law of row i's
-other open cells, the scored cell's own law and the law of column j's other
-cells once, and both candidates read them, unless a candidate pins cells and
-rebuilds them from its pinned state.  Within a level the column parameters
-are fixed, so the column and conditioned cell laws are memoised per level on
-the level's `ColumnParamScheme`, as mass vectors.  A level that ends with an
-odd residual, which the factorized weights cannot see coming, is a dead
-state too.
+of the conditional cell laws, and the approximate route restarts on dead
+states.  Exact tries each candidate in place, counts it and retracts it.
+The approximate weight's column law cancels against the scored cell's
+conditioned law, so neither is built.  Within a level the column parameters
+are fixed, so one `_LevelLaws` per level keeps each row's law of its scanned
+(even) cells as a prefix and of its unscanned (plain) cells as suffixes,
+and memoises the law of a column's other cells and the conditioned cell
+laws, as mass vectors.  A decision convolves row i's prefix with its suffix
+once, and one product vector with the law of column j's other cells, split
+by parity, weighs both candidates; only a bit 1 that spends a line is tried
+in place, for its pins.  A committed bit that spends a row drops the row
+laws.  A level that ends with an odd residual, which the factorized weights
+cannot see coming, is a dead state too.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 from .counting import CountOracle, shared_oracle
 from .diagnostics import SamplerDiagnostics, choose_bit, run_with_restarts
 from .errors import ConditioningError, ContradictionError, DeadStateError, InfeasibleError
-from .pmf import ColumnParamScheme, column_parameters, conditioned_cell_pmf, mixed_column_sum_pmf
+from .pmf import (ColumnParamScheme, column_parameters, conditioned_cell_pmf, geometric_dist,
+                  mixed_column_sum_pmf)
 from .table import MaskedTable, fill_in_place
 
 __all__ = [
@@ -57,67 +60,158 @@ class BitSamplerStrategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
 
 
-# The line laws depend on their column only through its parameter, so the
-# per-level memos are keyed by the value of q: columns sharing q share laws.
+_ONE = np.ones(1)  # the law of an empty sum
+_ZERO = np.zeros(1)  # a sum whose law is unreachable
 
 
-def _column_law(scheme: ColumnParamScheme, q, n_even: int, n_plain: int, c: int) -> np.ndarray:
-    key = (float(q), n_even, n_plain, c)
-    law = scheme.column_laws.get(key)
-    if law is None:
-        law = mixed_column_sum_pmf(q, n_even, n_plain, c)
-        law.flags.writeable = False
-        scheme.column_laws[key] = law
-    return law
+def _times(law: np.ndarray, cell, cap: int) -> np.ndarray:
+    """Law of `law`'s sum plus an independent cell, cut at {0..cap}; a None cell is unreachable."""
+    if cell is None:
+        return _ZERO
+    if law is _ONE or cell is _ONE:  # an empty sum adds nothing
+        return (cell if law is _ONE else law)[: cap + 1]
+    return np.convolve(law, cell)[: cap + 1]
 
 
-def _cell_law(scheme: ColumnParamScheme, q, cell_even: bool, rest_even: int, rest_plain: int,
-              c: int) -> np.ndarray | None:
-    """Mass vector of the conditioned cell law, None where its column sum is unreachable."""
-    key = (float(q), cell_even, rest_even, rest_plain, c)
-    if key in scheme.cell_laws:
-        return scheme.cell_laws[key]
-    try:
-        masses = conditioned_cell_pmf(cell_even, q, rest_even, rest_plain, c)
-        masses.flags.writeable = False
-    except ConditioningError:
-        masses = None
-    scheme.cell_laws[key] = masses
-    return masses
+def _parity_weights(geo: np.ndarray, rest: np.ndarray, others: np.ndarray, r: int, c: int) -> list:
+    """[W0, W1] with W_k the sum over v = k (mod 2) of geo[v] * rest[c - v] * others[r - v].
 
-
-def _line_laws(i, j, t: MaskedTable, scheme: ColumnParamScheme, r_cap: int, c_cap: int):
-    """The laws (others, base, rest) that `approx_bit_weight` reads for cell (i, j) of `t`.
-
-    `others` convolves row i's open cells other than (i, j), each conditioned
-    on its own column sum, truncated to {0..r_cap}; it is zero where one of
-    those column sums is unreachable.  `base` is the scored cell's law, twice
-    a geometric(q**2) variable while the cell is open and a point mass at 0
-    once it is closed, and `rest` the law of column j's other open cells,
-    even above row i and plain below it, both truncated to {0..c_cap}.
+    `geo` holds (1 - q) q**v.  With the scored cell open, bit k leaves it an
+    even remainder x whose law is base[x] = (1 - q*q) q**x, and its seed
+    factor q**k / (1 + q) times base[x] is (1 - q) q**(k + x): so W_k is bit
+    k's seed factor times its line weight at residuals r - k, c - k, and one
+    product vector, split by the parity of v, weighs both candidates.
     """
-    q = scheme.q
-    col_open = t.open_c
-    cell_open = not t.closed[i][j]
-    above = bisect_left(t.open_in_col(j), i)  # open cells of column j above row i
-    base = _column_law(scheme, q[j], int(cell_open), 0, c_cap)
-    rest = _column_law(scheme, q[j], above, col_open[j] - cell_open - above, c_cap)
-    others = None
-    for l in t.open_in_row(i):
-        if l == j:
-            continue
-        even = l < j  # cells of earlier columns hold their bit
-        rest_even = col_open[l] - 1 if even else 0
-        cell = _cell_law(scheme, q[l], even, rest_even, col_open[l] - 1 - rest_even, t.c_res[l])
-        if cell is None:
-            return np.zeros(1), base, rest
-        # row law truncated to {0..r_cap} after every convolution
-        others = cell if others is None else np.convolve(others, cell)[: r_cap + 1]
-    return (np.ones(1) if others is None else others), base, rest
+    lo, hi = max(0, r - len(others) + 1), min(r, c)
+    if lo > hi:
+        return [0.0, 0.0]
+    terms = geo[lo : hi + 1] * rest[c - hi : c - lo + 1][::-1]
+    tail = others[r - hi : r - lo + 1][::-1]
+    w = [0.0, 0.0]
+    w[lo & 1] = float(np.dot(terms[::2], tail[::2]))
+    w[1 - (lo & 1)] = float(np.dot(terms[1::2], tail[1::2]))
+    return w
 
 
-def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme, laws=None) -> float:
-    """Factorized weight for assigning bit k to cell (i, j).
+class _LevelLaws:
+    """The `approx` line laws of one bit level of `t`, kept across its decisions.
+
+    Within a level the column parameters q are fixed, and in the
+    column-major scan row i's other open cells at (i, j) are its even cells
+    left of j and its plain cells right of j, each conditioned on its own
+    column sum.  So each row keeps an even prefix, extended one column at a
+    time as the scan passes, and plain suffixes built backward once, and the
+    law of its other cells is one convolution of the two.  A column's cells
+    change only while it is scanned, unless a committed bit spends a row
+    and pins cells outside its column: `drop` then forgets every row's
+    laws.  Rows cut their laws at their residual when built, which bounds
+    every later residual of the level.  The law of column j's other open
+    cells is memoised on (q, cells above, cells below, cap), with the cap
+    at the column's level-start residual, and conditioned cell laws on
+    their arguments; entries up to a cap do not depend on the cap.
+    """
+
+    __slots__ = ("t", "q", "caps", "geo", "rest_laws", "cell_laws", "prefix", "suffix")
+
+    def __init__(self, t: MaskedTable, q):
+        self.t = t
+        self.q = [float(x) for x in q]
+        self.caps = t.c_res[:]
+        self.geo = [None] * t.n  # (1 - q) q**v up to the cap, built on a column's first decision
+        self.rest_laws: dict = {}
+        self.cell_laws: dict = {}
+        self.drop()
+
+    def drop(self) -> None:
+        """Forget every row's prefix and suffixes."""
+        self.prefix = [None] * self.t.m  # per row: (law, columns it covers)
+        self.suffix = [None] * self.t.m  # per row: suffix[j] covers the columns right of j
+
+    def _cell(self, l: int, even: bool):
+        """Law of an open cell of column l given its column sum, None where that is unreachable."""
+        t = self.t
+        key = (self.q[l], even, t.open_c[l] - 1, t.c_res[l])
+        if key not in self.cell_laws:
+            q, _, rest, c = key
+            try:  # the rest of column l is all even or all plain, as the cell is
+                self.cell_laws[key] = conditioned_cell_pmf(even, q, rest if even else 0,
+                                                           0 if even else rest, c)
+            except ConditioningError:
+                self.cell_laws[key] = None
+        return self.cell_laws[key]
+
+    def _suffixes(self, i: int, j: int) -> list:
+        """Laws of row i's open cells right of each column from j on, all plain, built backward."""
+        t = self.t
+        closed, cap = t.closed[i], t.r_res[i]
+        out = [_ONE] * t.n
+        for l in range(t.n - 1, j, -1):
+            out[l - 1] = out[l] if closed[l] else _times(out[l], self._cell(l, False), cap)
+        return out
+
+    def rest(self, i: int, j: int) -> np.ndarray:
+        """Law of column j's open cells other than (i, j): even above row i, plain below."""
+        t = self.t
+        above = bisect_left(t.open_in_col(j), i)
+        key = (self.q[j], above, t.open_c[j] - 1 - above, self.caps[j])
+        law = self.rest_laws.get(key)
+        if law is None:
+            law = self.rest_laws[key] = mixed_column_sum_pmf(*key)
+        return law
+
+    def others(self, i: int, j: int) -> np.ndarray:
+        """Law of row i's open cells other than (i, j), cut at row i's residual.
+
+        It is zero where one of those cells' column sums is unreachable.
+        """
+        t = self.t
+        closed, cap = t.closed[i], t.r_res[i]
+        law, done = self.prefix[i] or (_ONE, 0)
+        for l in range(done, j):  # columns scanned since: their cells hold their bit
+            if not closed[l]:
+                law = _times(law, self._cell(l, True), cap)
+        self.prefix[i] = (law, j)
+        if self.suffix[i] is None:
+            self.suffix[i] = self._suffixes(i, j)
+        return _times(law, self.suffix[i][j], cap)
+
+    def weights(self, i: int, j: int) -> list:
+        """Both candidates' weights for the level bit of open cell (i, j), seed factors included.
+
+        Bit 0 never spends a line, nor does bit 1 while both residuals
+        exceed 1: both read `_parity_weights`.  A bit 1 that spends row i or
+        column j is applied and retracted, for its pins and to refuse a
+        stranded line; a pinned cell at or before (i, j) in scan order
+        holds its bit and has law factor 1 - q*q, a later one 1 - q.  Of the
+        scored cell's lines, a spent one contributes 1, so what remains is
+        the law of the other line's other cells at its residual net of the bit.
+        """
+        t = self.t
+        q, r, c = self.q[j], t.r_res[i], t.c_res[j]
+        if self.geo[j] is None:
+            self.geo[j] = geometric_dist(q, self.caps[j])
+        rest, others = self.rest(i, j), self.others(i, j)
+        w = _parity_weights(self.geo[j], rest, others, r, c)
+        if r > 1 and c > 1:
+            return w
+        try:
+            pinned = _apply_bit(t, i, j, 1)
+        except ContradictionError:
+            return [w[0], 0.0]
+        _retract_bit(t, i, j, 1, pinned)
+        prod = q / (1.0 + q)
+        for s, l, _ in pinned:
+            ql = self.q[l]
+            prod *= (1.0 - ql * ql) if (l, s) <= (j, i) else (1.0 - ql)
+        if r > 1:  # only column j is spent
+            prod *= others[r - 1] if r - 1 < len(others) else 0.0
+        elif c > 1:  # only row i is spent
+            prod *= rest[c - 1]
+        return [w[0], float(prod)]
+
+
+def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme) -> float:
+    """Factorized line weight for assigning bit k to open cell (i, j).
 
     `t` is a `MaskedTable` with residual margins in units of the level bit
     and its open-cell counts.  It is assumed scanned in column-major order up
@@ -127,25 +221,20 @@ def approx_bit_weight(i, j, k: int, t: MaskedTable, scheme: ColumnParamScheme, l
     residual under the mixed even/plain column law times the probability of
     its row residual under a convolution of per-cell laws, each conditioned
     on its own column sum.  The column law cancels against the scored
-    cell's conditioned law, which leaves one sum over the cell's value x:
-    base[x] * rest[c - x] * others[r - x], with the laws of `_line_laws` and
-    the residuals r, c net of k.  `laws`, when given, are `_line_laws` of
-    `t` with caps of at least those residuals, so that both candidates of a
-    decision read one build.  Returns 0.0 for unreachable residuals.  The
-    column and cell laws are memoised on `scheme`.
+    cell's conditioned law, which leaves one sum over the cell's even value
+    x: base[x] * rest[c - x] * others[r - x], with r, c the residuals net of
+    k, `rest` the law of column j's other open cells and `others` that of
+    row i's.  This reads the laws of a fresh `_LevelLaws` on `t` through
+    `_parity_weights`, the formula decisions use, and divides out the seed
+    factor 1 / (1 + q[j]).  Returns 0.0 for unreachable residuals.
     """
-    r_i = t.r_res[i] - k
-    c_j = t.c_res[j] - k
-    if r_i < 0 or c_j < 0:
+    r, c = t.r_res[i] - k, t.c_res[j] - k
+    if r < 0 or c < 0:
         return 0.0
-    others, base, rest = laws if laws is not None else _line_laws(i, j, t, scheme, r_i, c_j)
-    lo = max(0, r_i - len(others) + 1)
-    hi = min(r_i, c_j)
-    if lo > hi:
-        return 0.0
-    xs = slice(lo, hi + 1)
-    return float(np.dot(base[xs] * rest[c_j - hi : c_j - lo + 1][::-1],
-                        others[r_i - hi : r_i - lo + 1][::-1]))
+    laws = _LevelLaws(t, scheme.q)
+    q = laws.q[j]
+    w = _parity_weights(geometric_dist(q, c), laws.rest(i, j), laws.others(i, j), r, c)
+    return (1.0 + q) * w[0]
 
 
 def _apply_bit(t: MaskedTable, i: int, j: int, k: int) -> list:
@@ -177,37 +266,33 @@ def _retract_bit(t: MaskedTable, i: int, j: int, k: int, pinned: list) -> None:
     t.c_res[j] += k
 
 
-def _decide(t, i, j, level, strategy, scheme, oracle, rng, diag, transposed) -> int:
+def _decide(t, i, j, level, strategy, laws, oracle, rng, diag, transposed) -> int:
     """Draw and commit the level bit of open cell (i, j) on `t`.
 
-    Each candidate is applied in place, weighed and retracted; one that
-    strands a line weighs 0.  Exact weighs its completion count, with the
-    scanned open cells up to (i, j) kept even.  Approx weighs the proposal
-    probability of the decisions it forces times its line weight.
+    Exact applies each candidate in place, weighs its completion count, with
+    the scanned open cells up to (i, j) kept even, and retracts it; one that
+    strands a line weighs 0.  Approx reads both weights off the level's
+    `_LevelLaws`, whose row laws a committed bit that spends row i drops.
     """
-    weights = [0.0, 0.0]
     if strategy.kind == "exact":
+        weights = [0.0, 0.0]
         forced_even = [[not shut and (l, s) <= (j, i) for l, shut in enumerate(row)]
                        for s, row in enumerate(t.closed)]
-    else:  # a candidate that pins nothing leaves these laws as they are
-        laws = _line_laws(i, j, t, scheme, t.r_res[i], t.c_res[j])
-    for k in (0, 1):
-        try:
-            pinned = _apply_bit(t, i, j, k)
-        except ContradictionError:
-            continue
-        if strategy.kind == "exact":  # pinned cells lie on zero-residual lines: same count
+        for k in (0, 1):
+            try:
+                pinned = _apply_bit(t, i, j, k)
+            except ContradictionError:
+                continue
+            # pinned cells lie on zero-residual lines: same count
             weights[k] = oracle.count_integer_tables(t.r_res, t.c_res, t.closed, forced_even)
-        else:
-            q = scheme.q
-            prod = (q[j] if k else 1.0) / (1.0 + q[j])
-            for s, l, _ in pinned:  # cells at or before (i, j) in scan order hold their bit
-                prod *= (1.0 - q[l] * q[l]) if (l, s) <= (j, i) else (1.0 - q[l])
-            weights[k] = prod * approx_bit_weight(i, j, 0, t, scheme, None if pinned else laws)
-        _retract_bit(t, i, j, k, pinned)
+            _retract_bit(t, i, j, k, pinned)
+    else:
+        weights = laws.weights(i, j)
     site = (j, i) if transposed else (i, j)  # the caller's cell
     bit = choose_bit(weights[0], weights[1], rng, diag, site, level)
-    _apply_bit(t, i, j, bit)
+    pinned = _apply_bit(t, i, j, bit)
+    if laws is not None and any(l != j for _, l, _ in pinned):
+        laws.drop()  # a spent row pinned cells of other columns
     return bit
 
 
@@ -237,11 +322,11 @@ def _run_levels(base, levels, strategy, oracle, rng, diag, transposed) -> np.nda
                 raise DeadStateError(f"level {b} start: {e}") from e
             for fi, fj, v in forced:
                 assembled[fi][fj] += v << b
-        scheme = (column_parameters(t.c_res, [m - o for o in t.open_c], m)
-                  if strategy.kind == "approx" else None)
+        laws = (_LevelLaws(t, column_parameters(t.c_res, [m - o for o in t.open_c], m).q)
+                if strategy.kind == "approx" else None)
         for j in range(n):
             for i in range(m):
-                if not t.closed[i][j] and _decide(t, i, j, b, strategy, scheme, oracle, rng, diag,
+                if not t.closed[i][j] and _decide(t, i, j, b, strategy, laws, oracle, rng, diag,
                                                   transposed):
                     assembled[i][j] += 1 << b
         if any(x & 1 for x in t.r_res + t.c_res):

@@ -9,7 +9,7 @@ past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +32,12 @@ __all__ = [
 class ColumnParamScheme:
     """Per-column geometric parameters q[j] for one integer table level.
 
-    `column_laws` and `cell_laws` memoise the integer line laws under
-    these parameters (see `integer_sampler.approx_bit_weight`).  A sampler
-    builds one scheme per bit level, so the memo lives exactly one level;
-    its keys are bounded by the distinct parameters, the open cells per
-    column and the residuals, and it needs no size limit.
+    The integer `approx` sampler builds one scheme per bit level and keeps
+    the line laws under these parameters on that level's own cache (see
+    `integer_sampler.approx_bit_weight`), so a scheme holds q alone.
     """
 
     q: np.ndarray
-    column_laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    cell_laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def geometric_pmf(q: float, k: int) -> float:

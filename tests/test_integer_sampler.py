@@ -16,7 +16,13 @@ from bittables import integer_sampler
 from bittables.binary_sampler import sample_binary_table
 from bittables.cli import main
 from bittables.counting import count_integer_tables
-from bittables.errors import ContradictionError, DeadStateError, InfeasibleError, OracleLimitError
+from bittables.errors import (
+    ConditioningError,
+    ContradictionError,
+    DeadStateError,
+    InfeasibleError,
+    OracleLimitError,
+)
 from bittables.integer_sampler import (
     BitSamplerStrategy,
     approx_bit_weight,
@@ -201,85 +207,46 @@ def test_approx_draws_match_golden():
         assert diag.as_dict() == case["diagnostics"], (case["name"], case["seed"])
 
 
-def test_line_laws_are_memoised_on_the_scheme(monkeypatch):
-    calls = Counter()
-    for name in ("conditioned_cell_pmf", "mixed_column_sum_pmf"):
-        fn = getattr(integer_sampler, name)
-
-        def counted(*args, _fn=fn, _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(integer_sampler, name, counted)
-    t = MaskedTable.from_margins([10, 56, 13], [20, 14, 18, 27])
-    scheme = column_parameters(t.c_res, [0] * 4, 3)
-    first = [approx_bit_weight(0, 0, k, t, scheme) for k in (0, 1)]
-    # the two candidates share the cell laws of columns 1..3; column 0's
-    # base and rest laws are cut at each candidate's own residual
-    misses = dict(calls)
-    assert misses == {"mixed_column_sum_pmf": 4, "conditioned_cell_pmf": 3}
-    assert len(scheme.column_laws) == 4 and len(scheme.cell_laws) == 3
-    again = [approx_bit_weight(0, 0, k, t, scheme) for k in (0, 1)]
-    assert again == first and dict(calls) == misses
-    # a fresh scheme with the same parameters starts empty and agrees
-    fresh = column_parameters(t.c_res, [0] * 4, 3)
-    assert not fresh.cell_laws
-    assert [approx_bit_weight(0, 0, k, t, fresh) for k in (0, 1)] == first
+def _random_masked_draws(seed, count):
+    """`count` approx draws of random masked tables, scans alternating, up to 5 restarts each."""
+    rng = np.random.default_rng(seed)
+    for d in range(count):
+        m, n = (int(x) for x in rng.integers(2, 6, size=2))
+        e = rng.integers(0, int(rng.choice([3, 9, 25])) + 1, size=(m, n))
+        zero = rng.random((m, n)) < 0.3
+        e[zero] = 0
+        try:
+            sample_contingency_table(e.sum(1), e.sum(0), zero, rng=batch_rng(seed, d),
+                                     scan=("column", "row")[d % 2], max_restarts=5)
+        except DeadStateError:
+            pass
 
 
-def test_decisions_build_their_line_laws_once(monkeypatch):
-    # an approx decision builds row i's other cells, the scored cell's base
-    # law and column j's rest once, before its candidates, and builds them
-    # again only from the state of a candidate that pins cells.  The scored
-    # cell's conditioned law, which would divide by its whole column's law,
-    # is never built: no cell law of column j is built while column j is
-    # scanned.
-    events = []
+def _uncancelled_weights(t, i, j, q):
+    """Both approx weights of open cell (i, j) in the uncancelled form, with each
+    candidate's pinned cells and whether it closed (i, j).  Each candidate is
+    applied in place, weighed from its pinned state and retracted; one that
+    strands a line weighs 0."""
+    want, trials = [0.0, 0.0], []
+    for k in (0, 1):
+        try:
+            pinned = integer_sampler._apply_bit(t, i, j, k)
+        except ContradictionError:
+            continue
+        prod = (q[j] if k else 1.0) / (1.0 + q[j])
+        for s, l, _ in pinned:
+            prod *= (1.0 - q[l] * q[l]) if (l, s) <= (j, i) else (1.0 - q[l])
+        want[k] = prod * oracles.approx_bit_weight_conditioned(i, j, 0, t, q)
+        trials.append((pinned, t.closed[i][j]))
+        integer_sampler._retract_bit(t, i, j, k, pinned)
+    return want, trials
 
-    def spy(name):
-        fn = getattr(integer_sampler, name)
 
-        def wrapped(*args):
-            try:
-                out = fn(*args)
-            except Exception:
-                events.append((name, args, "raised"))
-                raise
-            events.append((name, args, out))
-            return out
-
-        monkeypatch.setattr(integer_sampler, name, wrapped)
-
-    for name in ("_apply_bit", "_line_laws", "conditioned_cell_pmf", "mixed_column_sum_pmf"):
-        spy(name)
-    decide = integer_sampler._decide
-    decisions = []
-
-    def recorded(t, i, j, level, strategy, scheme, *rest):
-        events.clear()
-        bit = decide(t, i, j, level, strategy, scheme, *rest)
-        decisions.append((scheme.q, j, list(events)))
-        return bit
-
-    monkeypatch.setattr(integer_sampler, "_decide", recorded)
-    for s in range(6):
-        for scan in ("column", "row"):
-            sample_contingency_table([10, 56, 13], [20, 14, 18, 27], rng=batch_rng(3, s),
-                                     scan=scan)
-    pins = unique = 0
-    for q, j, evs in decisions:
-        names = [e[0] for e in evs]
-        assert names.count("_line_laws") >= 1 and names.index("_line_laws") < names.index("_apply_bit")
-        trials = [e[2] for e in evs if e[0] == "_apply_bit"][:-1]  # the last one commits the bit
-        pinning = sum(1 for out in trials if out != "raised" and out)
-        pins += pinning
-        assert names.count("_line_laws") == 1 + pinning
-        assert names.count("mixed_column_sum_pmf") <= 2 * names.count("_line_laws")
-        assert all(e[1][0] == q[j] for e in evs if e[0] == "mixed_column_sum_pmf")
-        if list(q).count(q[j]) == 1:  # a cell law of another column cannot carry q[j]
-            unique += 1
-            assert all(e[1][1] != q[j] for e in evs if e[0] == "conditioned_cell_pmf")
-    assert len(decisions) > 300 and pins > 20 and unique > 300
+def _assert_close(got, want):
+    """Equal to 1e-12 relative, with the same zeros."""
+    for w, ref in zip(got, want):
+        assert (w == 0.0) == (ref == 0.0), (w, ref)
+        assert abs(w - ref) <= 1e-12 * abs(ref), (w, ref)
 
 
 def test_weights_agree_with_the_uncancelled_form(monkeypatch):
@@ -289,7 +256,6 @@ def test_weights_agree_with_the_uncancelled_form(monkeypatch):
     # under both scans reach every level state a scan position can hold; a
     # candidate that pins cells, the scored cell among them, is weighed from
     # the pinned state.
-    rng = np.random.default_rng(23)
     decide = integer_sampler._decide
     choose = integer_sampler.choose_bit
     got = []
@@ -300,46 +266,177 @@ def test_weights_agree_with_the_uncancelled_form(monkeypatch):
 
     seen = Counter()
 
-    def checked(t, i, j, level, strategy, scheme, oracle, rng_, diag, transposed):
-        q = scheme.q
-        want = [0.0, 0.0]
-        for k in (0, 1):
-            try:
-                pinned = integer_sampler._apply_bit(t, i, j, k)
-            except ContradictionError:
-                continue
-            prod = (q[j] if k else 1.0) / (1.0 + q[j])
-            for s, l, _ in pinned:
-                prod *= (1.0 - q[l] * q[l]) if (l, s) <= (j, i) else (1.0 - q[l])
-            want[k] = prod * oracles.approx_bit_weight_conditioned(i, j, 0, t, q)
+    def checked(t, i, j, level, strategy, laws, oracle, rng_, diag, transposed):
+        want, trials = _uncancelled_weights(t, i, j, laws.q)
+        for pinned, closed in trials:
             seen["pinned"] += bool(pinned)
-            seen["closed"] += t.closed[i][j]
-            integer_sampler._retract_bit(t, i, j, k, pinned)
+            seen["closed"] += closed
         got.clear()
         try:
-            return decide(t, i, j, level, strategy, scheme, oracle, rng_, diag, transposed)
+            return decide(t, i, j, level, strategy, laws, oracle, rng_, diag, transposed)
         finally:
-            for w, ref in zip(got, want):
-                assert (w == 0.0) == (ref == 0.0), (w, ref)
-                assert abs(w - ref) <= 1e-12 * abs(ref), (w, ref)
+            _assert_close(got, want)
             seen["row" if transposed else "column"] += 1
             seen["weights"] += len(got)
             seen["zeros"] += want.count(0.0)
 
     monkeypatch.setattr(integer_sampler, "choose_bit", record)
     monkeypatch.setattr(integer_sampler, "_decide", checked)
-    for d in range(40):
-        m, n = (int(x) for x in rng.integers(2, 6, size=2))
-        e = rng.integers(0, int(rng.choice([3, 9, 25])) + 1, size=(m, n))
-        zero = rng.random((m, n)) < 0.3
-        e[zero] = 0
-        try:
-            sample_contingency_table(e.sum(1), e.sum(0), zero, rng=batch_rng(23, d),
-                                     scan=("column", "row")[d % 2], max_restarts=5)
-        except DeadStateError:
-            pass
+    _random_masked_draws(23, 40)
     assert seen["column"] > 200 and seen["row"] > 200
     assert seen["pinned"] > 50 and seen["closed"] == seen["pinned"] and seen["zeros"] > 20
+
+
+def _fresh_row_law(t, i, j, q):
+    """Law of row i's open cells other than (i, j), convolved left to right afresh."""
+    law = np.ones(1)
+    for l in t.open_in_row(i):
+        if l == j:
+            continue
+        even, rest = l < j, t.open_c[l] - 1  # scanned columns hold their bit
+        try:
+            cell = conditioned_cell_pmf(even, q[l], rest if even else 0, 0 if even else rest,
+                                        t.c_res[l])
+        except ConditioningError:
+            return np.zeros(1)
+        law = np.convolve(law, cell)[: t.r_res[i] + 1]
+    return law
+
+
+def test_cached_row_laws_match_a_fresh_convolution(monkeypatch):
+    # before every approx decision the level's cached row law (even prefix
+    # times plain suffix) equals a fresh left-to-right convolution of row i's
+    # other open cells, to 1e-12 relative with the same zeros.  Masks and
+    # pinned cells close cells inside rows; committed bits that spend a row
+    # mid-level must drop every row's laws.
+    decide = integer_sampler._decide
+    drop = integer_sampler._LevelLaws.drop
+    seen = Counter()
+
+    def counted_drop(self):
+        seen["drops"] += hasattr(self, "prefix")  # not the first, from __init__
+        drop(self)
+
+    def checked(t, i, j, level, strategy, laws, *rest):
+        size = t.r_res[i] + 1
+        got, want = (np.pad(a[:size], (0, size - len(a[:size])))
+                     for a in (laws.others(i, j), _fresh_row_law(t, i, j, laws.q)))
+        _assert_close(got, want)
+        seen["laws"] += 1
+        seen["closed"] += any(t.closed[i][:j]) or any(t.closed[i][j + 1:])
+        seen["zeros"] += int(np.count_nonzero(want == 0.0))
+        return decide(t, i, j, level, strategy, laws, *rest)
+
+    monkeypatch.setattr(integer_sampler._LevelLaws, "drop", counted_drop)
+    monkeypatch.setattr(integer_sampler, "_decide", checked)
+    _random_masked_draws(29, 60)
+    for s in range(3):
+        sample_contingency_table([7, 2, 9, 4, 3], [5, 6, 3, 8, 3], rng=batch_rng(50, s),
+                                 scan=("column", "row")[s % 2])
+    assert seen["laws"] > 1500 and seen["closed"] > 1000 and seen["zeros"] > 2000
+    assert seen["drops"] > 60
+
+
+def _spy_level_laws(monkeypatch):
+    """Record, per `_LevelLaws` level, its columns' level-start residuals, its
+    drops, its rows' suffix builds and its column-law builds, over draws of
+    random masked tables, a skewed instance (one column a hundred times the
+    others) and one whose committed bits spend rows mid-level.  Every law a
+    level returns must be no longer than its column's level-start residual + 1."""
+    L = integer_sampler._LevelLaws
+    init, drop, suffixes, rest, cell = L.__init__, L.drop, L._suffixes, L.rest, L._cell
+    starts = {}  # level -> its columns' level-start residuals, keeping each level alive
+    epoch, built = Counter(), Counter()
+
+    def spy_init(self, t, q):
+        starts[self] = t.c_res[:]
+        init(self, t, q)
+
+    def spy_drop(self):
+        epoch[self] += 1
+        drop(self)
+
+    def spy_suffixes(self, i, j):
+        built["suffix", self, epoch[self], i] += 1
+        return suffixes(self, i, j)
+
+    def spy_rest(self, i, j):
+        law = rest(self, i, j)
+        assert len(law) <= starts[self][j] + 1
+        return law
+
+    def spy_cell(self, l, even):
+        law = cell(self, l, even)
+        assert law is None or len(law) <= starts[self][l] + 1
+        return law
+
+    mixed = integer_sampler.mixed_column_sum_pmf
+
+    def spy_mixed(*args):  # only `rest` builds column laws here
+        built["rest", list(starts)[-1], args] += 1
+        return mixed(*args)
+
+    for name, fn in (("__init__", spy_init), ("drop", spy_drop), ("_suffixes", spy_suffixes),
+                     ("rest", spy_rest), ("_cell", spy_cell)):
+        monkeypatch.setattr(L, name, fn)
+    monkeypatch.setattr(integer_sampler, "mixed_column_sum_pmf", spy_mixed)
+    _random_masked_draws(31, 30)
+    for s in range(4):
+        for scan in ("column", "row"):
+            sample_contingency_table([400, 3, 2, 2, 1], [396, 3, 3, 3, 3], rng=batch_rng(60, s),
+                                     scan=scan, max_restarts=20)
+            sample_contingency_table([7, 2, 9, 4, 3], [5, 6, 3, 8, 3], rng=batch_rng(50, s),
+                                     scan=scan)
+    return starts, epoch, built
+
+
+def test_row_suffixes_are_built_once_per_drop(monkeypatch):
+    # a row builds its plain suffixes once, and again only after a committed
+    # bit that spends a row drops them
+    starts, epoch, built = _spy_level_laws(monkeypatch)
+    suffixes = [n for key, n in built.items() if key[0] == "suffix"]
+    assert len(suffixes) > 400 and max(suffixes) == 1
+    assert sum(epoch.values()) - len(starts) > 50  # drops after each level's first
+
+
+def test_column_laws_are_built_once_per_level_at_their_cap(monkeypatch):
+    # no law of a column's other cells is built twice in a level, and none is
+    # cut past its own column's level-start residual
+    starts, epoch, built = _spy_level_laws(monkeypatch)
+    rests = {key[1:]: n for key, n in built.items() if key[0] == "rest"}
+    assert len(rests) > 800 and max(rests.values()) == 1
+    # levels of the skewed instance build short laws for their small columns
+    assert any(args[3] < 10 for level, args in rests if max(starts[level]) > 100)
+
+
+def _weighed(m, n, closed, r_res, c_res, q, i, j):
+    """A level state with the given residuals and its approx weights at (i, j),
+    checked against the uncancelled form; the table is left as it was."""
+    mask = np.zeros((m, n), dtype=bool)
+    for cell in closed:
+        mask[cell] = True
+    t = MaskedTable(np.zeros((m, n), dtype=np.int64), mask, r_res, c_res)
+    before = _state(t)
+    got = integer_sampler._LevelLaws(t, q).weights(i, j)
+    want, _ = _uncancelled_weights(t, i, j, q)
+    _assert_close(got, want)
+    for a, b in zip(_state(t), before):
+        assert np.array_equal(a, b)
+    return got
+
+
+def test_spent_line_edge_states():
+    # column 0 is scanned, its two cells even, and its residual 1 is odd, so
+    # the even law of cell (0, 0) is unreachable and bit 0 at (0, 1) weighs
+    # 0; bit 1 spends row 0, closes (0, 0) and reads column 1's other cell
+    w = _weighed(2, 2, [], [1, 3], [1, 3], [0.4, 0.6], 0, 1)
+    assert w[0] == 0.0 and w[1] > 0.0
+    # bit 1 at (1, 1) spends both its row and its column
+    w = _weighed(3, 3, [], [2, 1, 3], [2, 1, 3], [0.5, 0.3, 0.7], 1, 1)
+    assert w[0] > 0.0 and w[1] > 0.0
+    # bit 1 at (0, 0) spends row 0, whose pin strands column 1
+    w = _weighed(2, 2, [(1, 1)], [1, 2], [2, 1], [0.5, 0.5], 0, 0)
+    assert w[0] > 0.0 and w[1] == 0.0
 
 
 def _state(t):
